@@ -9,6 +9,14 @@ normalised author-topic counts are exactly the topic vector used by WGRAP,
 and the topic-word distributions feed the EM inference of submission
 vectors (:mod:`repro.topics.em`).
 
+The sampler follows :mod:`repro.topics.lda`: word-topic counts are kept
+transposed, the priors are added once and maintained per changed cell, and
+the document's authors form one ``(A_d, T)`` block for the whole document,
+so a token draw is six ufunc calls over preallocated buffers.  The
+arithmetic is the textbook per-token sampler's, elementwise and
+reduction-for-reduction, so a fixed seed gives bit-identical models
+(pinned by ``tests/test_topic_models.py``).
+
 This module replaces the third-party ATM implementation the paper used.
 """
 
@@ -20,7 +28,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.topics.corpus import Corpus
-from repro.topics.lda import _sample_index
 
 __all__ = ["AuthorTopicModel", "ATMResult"]
 
@@ -117,6 +124,10 @@ class AuthorTopicModel:
         num_topics = self._num_topics
         num_words = corpus.num_words
         num_authors = len(corpus.authors)
+        alpha = self._alpha
+        beta = self._beta
+        alpha_mass = alpha * num_topics
+        beta_mass = beta * num_words
 
         documents = [
             np.asarray(corpus.encoded_document(d), dtype=np.int64)
@@ -128,87 +139,129 @@ class AuthorTopicModel:
         ]
 
         author_topic_counts = np.zeros((num_authors, num_topics), dtype=np.float64)
-        topic_word_counts = np.zeros((num_topics, num_words), dtype=np.float64)
-        topic_totals = np.zeros(num_topics, dtype=np.float64)
         author_totals = np.zeros(num_authors, dtype=np.float64)
+        # Transposed layout: word_topic_counts[w] is the contiguous live
+        # topic distribution of word w (the hot read of the inner loop).
+        word_topic_counts = np.zeros((num_words, num_topics), dtype=np.float64)
+        topic_totals = np.zeros(num_topics, dtype=np.float64)
 
+        # A token's author is kept as its slot in the document's author list.
         topic_assignments: list[np.ndarray] = []
-        author_assignments: list[np.ndarray] = []
+        slot_assignments: list[np.ndarray] = []
 
-        # Random initialisation: every token gets a random (author, topic).
-        for document_index, words in enumerate(documents):
-            authors = document_authors[document_index]
+        # Random initialisation: every token gets a random (author, topic);
+        # one batched scatter-add per document, same draws as a per-token loop.
+        for words, authors in zip(documents, document_authors):
             topics = rng.integers(0, num_topics, size=words.size)
-            chosen_authors = authors[rng.integers(0, authors.size, size=words.size)]
+            slots = rng.integers(0, authors.size, size=words.size)
             topic_assignments.append(topics)
-            author_assignments.append(chosen_authors)
-            for word, topic, author in zip(words, topics, chosen_authors):
-                author_topic_counts[author, topic] += 1
-                topic_word_counts[topic, word] += 1
-                topic_totals[topic] += 1
-                author_totals[author] += 1
+            slot_assignments.append(slots)
+            chosen_authors = authors[slots]
+            np.add.at(author_topic_counts, (chosen_authors, topics), 1.0)
+            np.add.at(author_totals, chosen_authors, 1.0)
+            np.add.at(word_topic_counts, (words, topics), 1.0)
+            np.add.at(topic_totals, topics, 1.0)
+
+        # The conditional's numerators and denominators are maintained as
+        # count + prior.  A changed cell is recomputed from its exact count,
+        # never incremented by one: (c + prior) - 1 need not round like
+        # (c - 1) + prior, and the textbook computes the latter.  Small
+        # count tables are Python lists: a list item costs a fraction of a
+        # numpy scalar access.
+        word_numerators = word_topic_counts + beta
+        topic_denominators = topic_totals + beta_mass
+        topic_counts = topic_totals.tolist()
+        most_cells = num_topics * max(authors.size for authors in document_authors)
+        joint_buffer = np.empty(most_cells, dtype=np.float64)
+        cumulative_buffer = np.empty(most_cells, dtype=np.float64)
+        word_block = np.empty(num_topics, dtype=np.float64)
 
         trace: list[float] = []
         for _ in range(self._iterations):
-            for document_index, words in enumerate(documents):
-                authors = document_authors[document_index]
-                topics = topic_assignments[document_index]
-                token_authors = author_assignments[document_index]
-                for position in range(words.size):
-                    word = words[position]
-                    old_topic = topics[position]
-                    old_author = token_authors[position]
-                    author_topic_counts[old_author, old_topic] -= 1
-                    topic_word_counts[old_topic, word] -= 1
-                    topic_totals[old_topic] -= 1
-                    author_totals[old_author] -= 1
+            for words, authors, topics, slots in zip(
+                documents, document_authors, topic_assignments, slot_assignments
+            ):
+                # The document's (A_d, T) author block: only its authors'
+                # counts change while its tokens are resampled, and they are
+                # written back when the document ends.
+                block = author_topic_counts[authors]
+                author_numerators = block + alpha
+                author_denominators = author_totals[authors, None] + alpha_mass
+                block_counts = block.tolist()
+                block_totals = author_totals[authors].tolist()
+                joint = joint_buffer[:block.size]
+                joint_block = joint.reshape(block.shape)
+                cumulative = cumulative_buffer[:block.size]
+                topic_list = topics.tolist()
+                slot_list = slots.tolist()
+                # Every conditional is strictly positive (alpha, beta > 0),
+                # so each token consumes exactly one uniform draw; one
+                # batched draw per document is stream-identical to a
+                # per-token rng.random() call.
+                randoms = rng.random(words.size).tolist()
+                for position, word in enumerate(words.tolist()):
+                    topic = topic_list[position]
+                    slot = slot_list[position]
+                    word_counts = word_topic_counts[word]
+                    word_row = word_numerators[word]
+                    # Remove the token from the counts.
+                    count = block_counts[slot][topic] - 1.0
+                    block_counts[slot][topic] = count
+                    author_numerators[slot, topic] = count + alpha
+                    count = block_totals[slot] - 1.0
+                    block_totals[slot] = count
+                    author_denominators[slot, 0] = count + alpha_mass
+                    count = word_counts[topic] - 1.0
+                    word_counts[topic] = count
+                    word_row[topic] = count + beta
+                    count = topic_counts[topic] - 1.0
+                    topic_counts[topic] = count
+                    topic_denominators[topic] = count + beta_mass
+                    # Joint conditional over (author of the document, topic),
+                    # elementwise (author + alpha) / (author total + alpha * T)
+                    # * (word + beta) / (topic total + beta * V), then an
+                    # inverse-CDF draw over the flattened block.  The total
+                    # is always positive, since the constructor rejects
+                    # alpha or beta <= 0.
+                    np.divide(author_numerators, author_denominators, out=joint_block)
+                    np.divide(word_row, topic_denominators, out=word_block)
+                    np.multiply(joint_block, word_block, out=joint_block)
+                    threshold = randoms[position] * np.add.reduce(joint)
+                    np.add.accumulate(joint, out=cumulative)
+                    cell = int(cumulative.searchsorted(threshold))
+                    slot, topic = divmod(cell, num_topics)
+                    topic_list[position] = topic
+                    slot_list[position] = slot
+                    # Add it back under the drawn (author, topic).
+                    count = block_counts[slot][topic] + 1.0
+                    block_counts[slot][topic] = count
+                    author_numerators[slot, topic] = count + alpha
+                    count = block_totals[slot] + 1.0
+                    block_totals[slot] = count
+                    author_denominators[slot, 0] = count + alpha_mass
+                    count = word_counts[topic] + 1.0
+                    word_counts[topic] = count
+                    word_row[topic] = count + beta
+                    count = topic_counts[topic] + 1.0
+                    topic_counts[topic] = count
+                    topic_denominators[topic] = count + beta_mass
+                topics[:] = topic_list
+                slots[:] = slot_list
+                author_topic_counts[authors] = block_counts
+                author_totals[authors] = block_totals
 
-                    # Joint conditional over (author of the document, topic).
-                    author_block = (
-                        author_topic_counts[authors] + self._alpha
-                    ) / (author_totals[authors, None] + self._alpha * num_topics)
-                    word_block = (topic_word_counts[:, word] + self._beta) / (
-                        topic_totals + self._beta * num_words
-                    )
-                    joint = author_block * word_block[None, :]
-                    flat_choice = _sample_index(joint.reshape(-1), rng)
-                    new_author = authors[flat_choice // num_topics]
-                    new_topic = flat_choice % num_topics
-
-                    topics[position] = new_topic
-                    token_authors[position] = new_author
-                    author_topic_counts[new_author, new_topic] += 1
-                    topic_word_counts[new_topic, word] += 1
-                    topic_totals[new_topic] += 1
-                    author_totals[new_author] += 1
-
-            trace.append(
-                float(
-                    (
-                        author_topic_counts
-                        * np.log(
-                            (author_topic_counts + self._alpha)
-                            / (author_totals[:, None] + self._alpha * num_topics)
-                            + 1e-12
-                        )
-                    ).sum()
-                    + (
-                        topic_word_counts
-                        * np.log(
-                            (topic_word_counts + self._beta)
-                            / (topic_totals[:, None] + self._beta * num_words)
-                            + 1e-12
-                        )
-                    ).sum()
-                )
+            # The last sweep's distributions are the fitted model.
+            topic_totals = np.array(topic_counts)
+            topic_word_counts = np.ascontiguousarray(word_topic_counts.T)
+            author_topic = (author_topic_counts + alpha) / (
+                author_totals[:, None] + alpha_mass
             )
+            topic_word = (topic_word_counts + beta) / (topic_totals[:, None] + beta_mass)
+            trace.append(float(
+                (author_topic_counts * np.log(author_topic + 1e-12)).sum()
+                + (topic_word_counts * np.log(topic_word + 1e-12)).sum()
+            ))
 
-        author_topic = (author_topic_counts + self._alpha) / (
-            author_totals[:, None] + self._alpha * num_topics
-        )
-        topic_word = (topic_word_counts + self._beta) / (
-            topic_totals[:, None] + self._beta * num_words
-        )
         return ATMResult(
             author_topic=author_topic,
             topic_word=topic_word,

@@ -28,7 +28,8 @@ class Document:
     tokens:
         Content tokens, already tokenised and stop-word filtered.
     authors:
-        Author identifiers.  Required by the Author-Topic Model; may be
+        Author identifiers, each listed once (repeats are dropped, keeping
+        first-appearance order).  Required by the Author-Topic Model; may be
         empty for plain LDA or for submissions whose authors are hidden.
     """
 
@@ -40,7 +41,9 @@ class Document:
         if not self.id:
             raise ConfigurationError("a document needs a non-empty id")
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "authors", tuple(self.authors))
+        # A repeated author would be drawn twice as often by the ATM's
+        # uniform author choice.
+        object.__setattr__(self, "authors", tuple(dict.fromkeys(self.authors)))
 
     @classmethod
     def from_text(

@@ -157,10 +157,11 @@ class LatentDirichletAllocation:
                     np.multiply(weights, scratch, out=weights)
                     np.add(topic_totals, beta_mass, out=scratch)
                     np.divide(weights, scratch, out=weights)
-                    # Inlined _sample_index (positive-total path).
-                    threshold = randoms[position] * weights.sum()
-                    np.cumsum(weights, out=cumulative)
-                    new_topic = int(np.searchsorted(cumulative, threshold))
+                    # Inverse-CDF draw.  The total is always positive, since
+                    # the constructor rejects alpha or beta <= 0.
+                    threshold = randoms[position] * np.add.reduce(weights)
+                    np.add.accumulate(weights, out=cumulative)
+                    new_topic = int(cumulative.searchsorted(threshold))
                     topic_list[position] = new_topic
                     doc_counts[new_topic] += 1
                     word_row[new_topic] += 1
@@ -187,15 +188,6 @@ class LatentDirichletAllocation:
             document_topic=document_topic,
             log_likelihood_trace=tuple(trace),
         )
-
-
-def _sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index proportionally to non-negative ``weights``."""
-    total = weights.sum()
-    if total <= 0.0:
-        return int(rng.integers(0, weights.size))
-    threshold = rng.random() * total
-    return int(np.searchsorted(np.cumsum(weights), threshold))
 
 
 def _joint_log_likelihood(

@@ -194,6 +194,145 @@ class TestAuthorTopicModel:
         assert len(words) == 3
         assert all(isinstance(word, str) for word in words)
 
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_sampler_identical_to_textbook_reference(self, synthetic_corpus, seed):
+        """The maintained-block sampler is bit-identical to the per-token loop.
+
+        The reference below is the pre-optimisation textbook ATM sampler
+        (per-token gathers of the authors' rows and the word's column,
+        fresh temporaries, one rng.random() call per token) over a corpus
+        whose documents have one to three authors.
+        """
+        corpus = synthetic_corpus.publications
+        model = AuthorTopicModel(num_topics=4, iterations=8, seed=seed).fit(corpus)
+        author_topic, topic_word, trace = _reference_atm(
+            corpus, num_topics=4, alpha=0.1, beta=0.01, iterations=8, seed=seed
+        )
+        assert np.array_equal(model.author_topic, author_topic)
+        assert np.array_equal(model.topic_word, topic_word)
+        assert model.log_likelihood_trace == trace
+
+    def test_sampler_identical_to_reference_with_an_empty_document(
+        self, synthetic_corpus
+    ):
+        """A document with no in-vocabulary token draws no random numbers."""
+        documents = list(synthetic_corpus.publications.documents[:6])
+        documents.insert(2, Document(id="empty", tokens=(), authors=("author-x",)))
+        corpus = Corpus(documents)
+        model = AuthorTopicModel(num_topics=3, iterations=4, seed=2).fit(corpus)
+        author_topic, topic_word, trace = _reference_atm(
+            corpus, num_topics=3, alpha=0.1, beta=0.01, iterations=4, seed=2
+        )
+        assert np.array_equal(model.author_topic, author_topic)
+        assert np.array_equal(model.topic_word, topic_word)
+        assert model.log_likelihood_trace == trace
+
+    def test_repeated_author_is_weighted_once(self, synthetic_corpus):
+        """Regression: a document listing an author twice gave it double weight.
+
+        ``Corpus.author_indices`` returned the repeated index twice, so the
+        uniform author choice drew that author twice as often.  Documents
+        now drop repeats, and the fit equals the deduplicated twin's.
+        """
+        documents = list(synthetic_corpus.publications.documents[:10])
+        first = documents[0]
+        repeated = Document(
+            id=first.id, tokens=first.tokens,
+            authors=first.authors + first.authors[:1] + ("author-x", "author-x"),
+        )
+        twin = Document(id=first.id, tokens=first.tokens,
+                        authors=first.authors + ("author-x",))
+        assert repeated.authors == twin.authors
+        corpus = Corpus([repeated] + documents[1:])
+        assert len(set(corpus.author_indices(0))) == len(corpus.author_indices(0))
+        model = AuthorTopicModel(num_topics=3, iterations=5, seed=4).fit(corpus)
+        reference = AuthorTopicModel(num_topics=3, iterations=5, seed=4).fit(
+            Corpus([twin] + documents[1:])
+        )
+        assert model.authors == reference.authors
+        assert np.array_equal(model.author_topic, reference.author_topic)
+        assert np.array_equal(model.topic_word, reference.topic_word)
+
+
+def _reference_atm(corpus, num_topics, alpha, beta, iterations, seed):
+    """Textbook per-token Author-Topic Gibbs sampler (the pinned reference)."""
+    rng = np.random.default_rng(seed)
+    num_words = corpus.num_words
+    num_authors = len(corpus.authors)
+    documents = [
+        np.asarray(corpus.encoded_document(d), dtype=np.int64)
+        for d in range(corpus.num_documents)
+    ]
+    document_authors = [
+        np.asarray(corpus.author_indices(d), dtype=np.int64)
+        for d in range(corpus.num_documents)
+    ]
+    author_topic_counts = np.zeros((num_authors, num_topics))
+    topic_word_counts = np.zeros((num_topics, num_words))
+    topic_totals = np.zeros(num_topics)
+    author_totals = np.zeros(num_authors)
+    topic_assignments = []
+    author_assignments = []
+    for document_index, words in enumerate(documents):
+        authors = document_authors[document_index]
+        topics = rng.integers(0, num_topics, size=words.size)
+        chosen_authors = authors[rng.integers(0, authors.size, size=words.size)]
+        topic_assignments.append(topics)
+        author_assignments.append(chosen_authors)
+        for word, topic, author in zip(words, topics, chosen_authors):
+            author_topic_counts[author, topic] += 1
+            topic_word_counts[topic, word] += 1
+            topic_totals[topic] += 1
+            author_totals[author] += 1
+    trace = []
+    for _ in range(iterations):
+        for document_index, words in enumerate(documents):
+            authors = document_authors[document_index]
+            topics = topic_assignments[document_index]
+            token_authors = author_assignments[document_index]
+            for position in range(words.size):
+                word = words[position]
+                old_topic = topics[position]
+                old_author = token_authors[position]
+                author_topic_counts[old_author, old_topic] -= 1
+                topic_word_counts[old_topic, word] -= 1
+                topic_totals[old_topic] -= 1
+                author_totals[old_author] -= 1
+                author_block = (author_topic_counts[authors] + alpha) / (
+                    author_totals[authors, None] + alpha * num_topics
+                )
+                word_block = (topic_word_counts[:, word] + beta) / (
+                    topic_totals + beta * num_words
+                )
+                weights = (author_block * word_block[None, :]).reshape(-1)
+                threshold = rng.random() * weights.sum()
+                flat_choice = int(np.searchsorted(np.cumsum(weights), threshold))
+                new_author = authors[flat_choice // num_topics]
+                new_topic = flat_choice % num_topics
+                topics[position] = new_topic
+                token_authors[position] = new_author
+                author_topic_counts[new_author, new_topic] += 1
+                topic_word_counts[new_topic, word] += 1
+                topic_totals[new_topic] += 1
+                author_totals[new_author] += 1
+        trace.append(float(
+            (author_topic_counts * np.log(
+                (author_topic_counts + alpha)
+                / (author_totals[:, None] + alpha * num_topics) + 1e-12
+            )).sum()
+            + (topic_word_counts * np.log(
+                (topic_word_counts + beta)
+                / (topic_totals[:, None] + beta * num_words) + 1e-12
+            )).sum()
+        ))
+    author_topic = (author_topic_counts + alpha) / (
+        author_totals[:, None] + alpha * num_topics
+    )
+    topic_word = (topic_word_counts + beta) / (
+        topic_totals[:, None] + beta * num_words
+    )
+    return author_topic, topic_word, tuple(trace)
+
 
 class TestEMInference:
     def test_recovers_a_pure_topic_document(self):
