@@ -11,21 +11,22 @@ result preservation asserted bitwise:
   object greedy's assignment*, and must reproduce the object refiner's
   moves exactly: identical refined assignment, bitwise-equal final score;
 * **greedy** — the dense solver realises the *true-argmax* (naive)
-  selection, pinned bitwise against the naive full re-scan on a
+  selection, pinned bitwise against the object-path naive re-scan on a
   scaled-down instance inside the same run (the re-scan evaluates every
-  open paper's gains each iteration — bitwise the pre-refactor per-pair
-  staging, per the kernel tests — and is computationally out of reach at
-  full scale; that is the point of the dense kernels).
+  open paper's gains each iteration through the object layer and is
+  computationally out of reach at full scale; that is the point of the
+  dense kernels).
 
-The full-scale baseline greedy is the historical lazy heap.  The heap
-selects on *recorded* gains refreshed only when popped; floating-point
-rounding can leave a stale record an ulp below the true current gain, so
-in near-tie regimes its pick can deviate from the true argmax — at
-service scale it reliably does, which is why full-scale greedy
-equivalence is pinned against the naive selection (the semantics the heap
-itself was always documented to realise), not against the heap's
-tie-order artifacts.  The JSON verdict records both greedy scores so the
-drift stays visible.
+The object path is the ``tests/oracles`` package: its lazy-heap greedy
+and object-path local-search refiner are the full-scale baseline, its
+naive greedy the smoke-scale selection pin.  The heap selects on
+*recorded* gains refreshed only when popped; floating-point rounding can
+leave a stale record an ulp below the true current gain, so in near-tie
+regimes its pick can deviate from the true argmax — at service scale it
+reliably does, which is why full-scale greedy equivalence is pinned
+against the naive selection (the semantics the heap itself was always
+documented to realise), not against the heap's tie-order artifacts.  The
+JSON verdict records both greedy scores so the drift stays visible.
 
 Results are printed as a table, persisted as CSV, and recorded as the
 machine-readable ``benchmarks/results/BENCH_dense.json`` that feeds the
@@ -59,6 +60,7 @@ from repro.core.vectors import TopicVector
 from repro.cra.greedy import GreedySolver
 from repro.cra.local_search import LocalSearchRefiner
 from repro.experiments.reporting import ExperimentTable
+from tests.oracles import LazyHeapGreedy, LocalSearchOracle, NaiveGreedyOracle
 
 
 def _env_int(name: str, default: int) -> int:
@@ -106,19 +108,15 @@ def _fresh_problem(
     return WGRAPProblem(papers=papers, reviewers=reviewers, group_size=group_size)
 
 
-def _refiner(use_dense: bool) -> LocalSearchRefiner:
-    return LocalSearchRefiner(
-        max_rounds=_ls_rounds(), moves="replace", use_dense=use_dense
-    )
+def _refiner(refiner_class: type[LocalSearchRefiner]) -> LocalSearchRefiner:
+    return refiner_class(max_rounds=_ls_rounds(), moves="replace")
 
 
 def _smoke_greedy_matches_naive() -> bool:
     """Pin dense greedy == object naive selection at a computable scale."""
     papers, reviewers = _make_entities(300, 150, _instance_shape()[2])
-    dense = GreedySolver(use_dense=True).solve(_fresh_problem(papers, reviewers, 3))
-    naive = GreedySolver(use_lazy_heap=False).solve(
-        _fresh_problem(papers, reviewers, 3)
-    )
+    dense = GreedySolver().solve(_fresh_problem(papers, reviewers, 3))
+    naive = NaiveGreedyOracle().solve(_fresh_problem(papers, reviewers, 3))
     return dense.assignment == naive.assignment and dense.score == naive.score
 
 
@@ -129,20 +127,22 @@ def run_dense_kernels() -> tuple[ExperimentTable, dict]:
     # Dense pipeline (the contender).
     dense_problem = _fresh_problem(papers, reviewers, group_size)
     started = time.perf_counter()
-    dense_greedy = GreedySolver(use_dense=True).solve(dense_problem)
+    dense_greedy = GreedySolver().solve(dense_problem)
     dense_greedy_elapsed = time.perf_counter() - started
     started = time.perf_counter()
-    _, dense_stats = _refiner(True).refine(dense_problem, dense_greedy.assignment)
+    _, dense_stats = _refiner(LocalSearchRefiner).refine(
+        dense_problem, dense_greedy.assignment
+    )
     dense_refine_elapsed = time.perf_counter() - started
     dense_total = dense_greedy_elapsed + dense_refine_elapsed
 
     # Object pipeline (the historical baseline).
     object_problem = _fresh_problem(papers, reviewers, group_size)
     started = time.perf_counter()
-    object_greedy = GreedySolver(use_dense=False).solve(object_problem)
+    object_greedy = LazyHeapGreedy().solve(object_problem)
     object_greedy_elapsed = time.perf_counter() - started
     started = time.perf_counter()
-    object_refined, object_stats = _refiner(False).refine(
+    object_refined, object_stats = _refiner(LocalSearchOracle).refine(
         object_problem, object_greedy.assignment
     )
     object_refine_elapsed = time.perf_counter() - started
@@ -151,7 +151,7 @@ def run_dense_kernels() -> tuple[ExperimentTable, dict]:
     # Result preservation, asserted bitwise where it is well-defined:
     # the dense refiner re-run from the *object* greedy's assignment must
     # reproduce the object refiner exactly.
-    check_refined, check_stats = _refiner(True).refine(
+    check_refined, check_stats = _refiner(LocalSearchRefiner).refine(
         dense_problem, object_greedy.assignment
     )
     ls_identical = check_refined == object_refined

@@ -10,5 +10,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-# Make the sibling `_shared` helpers importable regardless of rootdir.
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+# Make the sibling `_shared` helpers and the repository's `tests.oracles`
+# reference solvers importable regardless of rootdir.
+_HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(_HERE))
+sys.path.insert(1, str(_HERE.parent))

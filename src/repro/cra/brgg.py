@@ -15,19 +15,19 @@ priority queue avoids recomputing a paper's best group unless one of its
 cached members has run out of capacity (removing reviewers can only lower
 the best achievable score, so cached scores are valid upper bounds).
 
-On the default path the per-paper conflict exclusions are read from the
-compiled feasibility mask of the problem's
-:class:`~repro.core.dense.DenseProblem` (one boolean column per sub-solve,
-with live conflict edits patched in by ``dense_view()``) and the inner BBA
-runs its vectorised candidate front; ``use_dense=False`` keeps the
-object-path exclusions (``ConflictOfInterest`` set lookups) and the
-cursor-loop BBA as the conformance oracle.  Both paths exclude exactly the
-same reviewers and hence commit identical groups.
+The per-paper conflict exclusions are read from the compiled feasibility
+mask of the problem's :class:`~repro.core.dense.DenseProblem` (one boolean
+column per sub-solve, with live conflict edits patched in by
+``dense_view()``) and the inner BBA runs its vectorised candidate front.
+The conformance reference in ``tests/oracles`` swaps in the object-path
+exclusions (``ConflictOfInterest`` set lookups) and the cursor-loop BBA;
+both exclude exactly the same reviewers and hence commit identical groups.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from typing import Any
 
 from repro.core.assignment import Assignment
@@ -40,48 +40,15 @@ __all__ = ["BestReviewerGroupGreedySolver"]
 
 
 class BestReviewerGroupGreedySolver(CRASolver):
-    """Assign whole groups paper-by-paper, best-scoring paper first.
-
-    Parameters
-    ----------
-    use_dense:
-        ``False`` resolves conflict exclusions through the object path and
-        runs the inner BBA on its cursor-loop baseline (conformance
-        oracle); results are identical either way.
-    """
+    """Assign whole groups paper-by-paper, best-scoring paper first."""
 
     name = "BRGG"
-
-    def __init__(self, use_dense: bool = True) -> None:
-        self._use_dense = use_dense
 
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         assignment = Assignment()
         loads = {reviewer_id: 0 for reviewer_id in problem.reviewer_ids}
-        bba = BranchAndBoundSolver(use_dense=self._use_dense)
-        if self._use_dense:
-            dense = problem.dense_view()
-            reviewer_ids = problem.reviewer_ids
-
-            def conflicted_with(paper_id: str) -> set[str]:
-                column = dense.feasible[:, dense.paper_pos[paper_id]]
-                return {reviewer_ids[row] for row in (~column).nonzero()[0]}
-
-        else:
-
-            def conflicted_with(paper_id: str) -> set[str]:
-                # Filter to reviewers that are actually in the pool: the
-                # conflict container can carry entries for reviewers
-                # withdrawn earlier in the mutation chain, and counting
-                # those would understate ``available`` below (the dense
-                # mask never sees them — conformance pins the parity).
-                return {
-                    reviewer_id
-                    for reviewer_id in problem.conflicts.reviewers_conflicting_with(
-                        paper_id
-                    )
-                    if reviewer_id in loads
-                }
+        bba = self._group_solver()
+        conflicted_with = self._conflict_exclusions(problem)
 
         def best_group(paper_id: str) -> tuple[float, tuple[str, ...]]:
             """Best feasible group for ``paper_id`` under remaining capacity.
@@ -144,8 +111,28 @@ class BestReviewerGroupGreedySolver(CRASolver):
             assignment.group_size(paper_id) < problem.group_size
             for paper_id in problem.paper_ids
         ):
-            assignment = complete_assignment(
-                problem, assignment, use_dense=self._use_dense
-            )
+            assignment = complete_assignment(problem, assignment)
             repaired = True
         return assignment, {"group_solves": group_solves, "repaired": repaired}
+
+    @staticmethod
+    def _group_solver() -> BranchAndBoundSolver:
+        """The exact JRA solver behind every best-group sub-solve."""
+        return BranchAndBoundSolver()
+
+    @staticmethod
+    def _conflict_exclusions(problem: WGRAPProblem) -> Callable[[str], set[str]]:
+        """``paper_id -> conflicted reviewer ids``, read from the compiled mask.
+
+        The mask only holds pool members, so conflict entries naming
+        reviewers withdrawn earlier in a mutation chain never reach the
+        exclusion set (counting them would understate ``available``).
+        """
+        dense = problem.dense_view()
+        reviewer_ids = problem.reviewer_ids
+
+        def conflicted_with(paper_id: str) -> set[str]:
+            column = dense.feasible[:, dense.paper_pos[paper_id]]
+            return {reviewer_ids[row] for row in (~column).nonzero()[0]}
+
+        return conflicted_with

@@ -17,8 +17,8 @@ of the pair greedy: selection is by marginal gain *scaled by the fraction
 of the reviewer's workload still unused*, which steers early picks away
 from reviewers a plain greedy would exhaust — the failure mode that makes
 BRGG lose to SDGA in Figure 10.  Like every other constructive solver it
-runs on the dense kernels by default with an object-path oracle behind
-``use_dense=False``.
+runs on the dense kernels; its object-path reference lives in
+``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -127,28 +127,11 @@ class RatioGreedySolver(CRASolver):
     (Figure 10/11 of the paper).  Ties break on the smallest
     ``(reviewer, paper)`` index pair, matching the naive greedy's
     convention.
-
-    Parameters
-    ----------
-    use_dense:
-        ``False`` evaluates gains and feasibility through the object path
-        (per-paper ``gain_vector`` calls, ``is_feasible_pair`` string
-        checks) instead of the compiled view; both paths perform the same
-        elementwise arithmetic and therefore make bitwise-identical
-        selections (pinned by the conformance harness).
     """
 
     name = "Ratio-Greedy"
 
-    def __init__(self, use_dense: bool = True) -> None:
-        self._use_dense = use_dense
-
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
-        if self._use_dense:
-            return self._solve_dense(problem)
-        return self._solve_object(problem)
-
-    def _solve_dense(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         dense = problem.dense_view()
         num_papers = dense.num_papers
         num_reviewers = dense.num_reviewers
@@ -209,61 +192,5 @@ class RatioGreedySolver(CRASolver):
         return assignment, {
             "iterations": iterations,
             "strategy": "dense",
-            "repaired": repaired,
-        }
-
-    def _solve_object(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
-        """The conformance oracle: same arithmetic, object-path inputs."""
-        scoring = problem.scoring
-        reviewer_matrix = problem.reviewer_matrix
-        paper_matrix = problem.paper_matrix
-        num_papers = problem.num_papers
-        num_reviewers = problem.num_reviewers
-        workload = float(problem.reviewer_workload)
-
-        assignment = Assignment()
-        loads = np.zeros(num_reviewers, dtype=np.int64)
-        target_pairs = num_papers * problem.group_size
-        iterations = 0
-
-        while len(assignment) < target_pairs:
-            profits = np.full((num_reviewers, num_papers), -np.inf, dtype=np.float64)
-            weight = (workload - loads) / workload
-            for paper_idx, paper_id in enumerate(problem.paper_ids):
-                if assignment.group_size(paper_id) >= problem.group_size:
-                    continue
-                group_vector = problem.group_vector(assignment, paper_id)
-                column = scoring.gain_vector(
-                    group_vector, reviewer_matrix, paper_matrix[paper_idx]
-                )
-                profits[:, paper_idx] = column * weight
-                members = assignment.reviewers_of(paper_id)
-                for reviewer_idx, reviewer_id in enumerate(problem.reviewer_ids):
-                    if (
-                        loads[reviewer_idx] >= problem.reviewer_workload
-                        or reviewer_id in members
-                        or not problem.is_feasible_pair(reviewer_id, paper_id)
-                    ):
-                        profits[reviewer_idx, paper_idx] = -np.inf
-
-            reviewer_idx, paper_idx = np.unravel_index(
-                np.argmax(profits), profits.shape
-            )
-            if not np.isfinite(profits[reviewer_idx, paper_idx]):
-                break
-            assignment.add(
-                problem.reviewer_ids[int(reviewer_idx)],
-                problem.paper_ids[int(paper_idx)],
-            )
-            loads[reviewer_idx] += 1
-            iterations += 1
-
-        repaired = False
-        if len(assignment) < target_pairs:
-            assignment = complete_assignment(problem, assignment, use_dense=False)
-            repaired = True
-        return assignment, {
-            "iterations": iterations,
-            "strategy": "object",
             "repaired": repaired,
         }

@@ -23,10 +23,10 @@ under the global workload — SDGA without the per-stage caps.
 baseline, so the refill machinery every other solver leans on is itself
 exercised (and conformance-checked) as a first-class solver.
 
-Refill inputs are built on the dense view by default; ``use_dense=False``
-keeps the object path (per-paper ``gain_vector`` over ``is_feasible_pair``
-string checks) as the conformance oracle — both produce bitwise-identical
-gains and masks, hence identical completions.
+Refill inputs are built on the dense view; ``tests/oracles`` swaps in
+the object-path builder (per-paper ``gain_vector`` over
+``is_feasible_pair`` string checks) as the conformance reference — both
+produce bitwise-identical gains and masks, hence identical completions.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ def complete_assignment(
     problem: WGRAPProblem,
     assignment: Assignment,
     backend: str = "hungarian",
-    use_dense: bool = True,
 ) -> Assignment:
     """Fill every under-staffed paper up to ``delta_p`` reviewers.
 
@@ -83,12 +82,7 @@ def complete_assignment(
                 "not enough remaining reviewer capacity to complete the assignment"
             )
 
-        if use_dense:
-            gains, forbidden = _refill_inputs(problem, completed, missing, capacities)
-        else:
-            gains, forbidden = _refill_inputs_object(
-                problem, completed, missing, capacities
-            )
+        gains, forbidden = _refill_inputs(problem, completed, missing, capacities)
 
         deadlocked = [missing[row] for row in np.flatnonzero(forbidden.all(axis=1))]
         if deadlocked:
@@ -142,34 +136,6 @@ def _refill_inputs(
     return gains, forbidden
 
 
-def _refill_inputs_object(
-    problem: WGRAPProblem,
-    assignment: Assignment,
-    missing: list[str],
-    capacities: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The same refill inputs through the object path (conformance oracle)."""
-    scoring = problem.scoring
-    reviewer_matrix = problem.reviewer_matrix
-    paper_matrix = problem.paper_matrix
-    num_reviewers = problem.num_reviewers
-    gains = np.empty((len(missing), num_reviewers), dtype=np.float64)
-    forbidden = np.zeros((len(missing), num_reviewers), dtype=bool)
-    for row, paper_id in enumerate(missing):
-        group_vector = problem.group_vector(assignment, paper_id)
-        gains[row] = scoring.gain_vector(
-            group_vector, reviewer_matrix, paper_matrix[problem.paper_index(paper_id)]
-        )
-        for reviewer_idx, reviewer_id in enumerate(problem.reviewer_ids):
-            if capacities[reviewer_idx] <= 0:
-                forbidden[row, reviewer_idx] = True
-            elif not problem.is_feasible_pair(reviewer_id, paper_id):
-                forbidden[row, reviewer_idx] = True
-        for reviewer_id in assignment.reviewers_of(paper_id):
-            forbidden[row, problem.reviewer_index(reviewer_id)] = True
-    return gains, forbidden
-
-
 def _resolve_deadlock(
     problem: WGRAPProblem, assignment: Assignment, paper_id: str
 ) -> bool:
@@ -220,19 +186,13 @@ class RefillRepairSolver(CRASolver):
     ----------
     backend:
         Assignment backend for each refill round.
-    use_dense:
-        ``False`` builds the refill inputs through the object path (the
-        conformance oracle); results are identical either way.
     """
 
     name = "Repair"
 
-    def __init__(self, backend: str = "hungarian", use_dense: bool = True) -> None:
+    def __init__(self, backend: str = "hungarian") -> None:
         self._backend = backend
-        self._use_dense = use_dense
 
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
-        assignment = complete_assignment(
-            problem, Assignment(), backend=self._backend, use_dense=self._use_dense
-        )
+        assignment = complete_assignment(problem, Assignment(), backend=self._backend)
         return assignment, {"backend": self._backend, "rounds": problem.group_size}

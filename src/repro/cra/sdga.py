@@ -43,20 +43,12 @@ class StageDeepeningGreedySolver(CRASolver):
     backend:
         ``"hungarian"`` (default) or ``"flow"`` — which exact assignment
         solver handles each stage.
-    use_dense:
-        ``False`` builds the per-stage inputs through the object path
-        (per-paper ``gain_vector`` calls over ``is_feasible_pair`` string
-        checks) instead of the compiled
-        :meth:`~repro.core.dense.DenseProblem.stage_inputs` kernel.  Both
-        paths produce bitwise-identical stage inputs — the object path is
-        kept as the conformance-harness oracle and benchmark baseline.
     """
 
     name = "SDGA"
 
-    def __init__(self, backend: str = "hungarian", use_dense: bool = True) -> None:
+    def __init__(self, backend: str = "hungarian") -> None:
         self._backend = backend
-        self._use_dense = use_dense
 
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         assignment = Assignment()
@@ -77,12 +69,7 @@ class StageDeepeningGreedySolver(CRASolver):
     # ------------------------------------------------------------------
     def _run_stage(self, problem: WGRAPProblem, assignment: Assignment) -> float:
         """Assign one more reviewer to every paper, in place; returns the gain."""
-        if self._use_dense:
-            gains, forbidden, capacities = self._stage_inputs(problem, assignment)
-        else:
-            gains, forbidden, capacities = self._stage_inputs_object(
-                problem, assignment
-            )
+        gains, forbidden, capacities = self._stage_inputs(problem, assignment)
         result = solve_capacitated_assignment(
             gains, capacities, forbidden=forbidden, backend=self._backend
         )
@@ -118,44 +105,3 @@ class StageDeepeningGreedySolver(CRASolver):
           (Section 4.3.2) and is used instead.
         """
         return problem.dense_view().stage_inputs(assignment, stage_capped=True)
-
-    @staticmethod
-    def _stage_inputs_object(
-        problem: WGRAPProblem, assignment: Assignment, stage_capped: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Object-path construction of the same stage inputs.
-
-        One :meth:`~repro.core.scoring.ScoringFunction.gain_vector` call per
-        paper against its object-path :meth:`~repro.core.problem.WGRAPProblem.group_vector`,
-        feasibility from per-pair :meth:`~repro.core.problem.WGRAPProblem.is_feasible_pair`
-        checks — the pre-compilation semantics the dense kernel is pinned
-        against, kept as the conformance oracle.
-        """
-        scoring = problem.scoring
-        reviewer_matrix = problem.reviewer_matrix
-        paper_matrix = problem.paper_matrix
-        num_papers = problem.num_papers
-        num_reviewers = problem.num_reviewers
-        gains = np.empty((num_papers, num_reviewers), dtype=np.float64)
-        forbidden = np.zeros((num_papers, num_reviewers), dtype=bool)
-        loads = np.zeros(num_reviewers, dtype=np.int64)
-        for paper_idx, paper_id in enumerate(problem.paper_ids):
-            group_vector = problem.group_vector(assignment, paper_id)
-            gains[paper_idx] = scoring.gain_vector(
-                group_vector, reviewer_matrix, paper_matrix[paper_idx]
-            )
-            for reviewer_idx, reviewer_id in enumerate(problem.reviewer_ids):
-                if not problem.is_feasible_pair(reviewer_id, paper_id):
-                    forbidden[paper_idx, reviewer_idx] = True
-            for reviewer_id in assignment.reviewers_of(paper_id):
-                row = problem.reviewer_index(reviewer_id)
-                forbidden[paper_idx, row] = True
-                loads[row] += 1
-        remaining = np.maximum(problem.reviewer_workload - loads, 0)
-        if stage_capped:
-            capacities = np.minimum(problem.stage_workload, remaining)
-            if int(capacities.sum()) < num_papers:
-                capacities = remaining
-        else:
-            capacities = remaining
-        return gains, forbidden, capacities

@@ -22,6 +22,7 @@ never make the SDGA result worse.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -29,7 +30,6 @@ import numpy as np
 
 from repro.assignment.transportation import solve_capacitated_assignment
 from repro.core.assignment import Assignment
-from repro.core.dense import DenseProblem
 from repro.core.problem import WGRAPProblem
 from repro.cra.base import CRAResult, CRASolver
 from repro.cra.sdga import StageDeepeningGreedySolver
@@ -80,15 +80,6 @@ class StochasticRefiner:
           mentions and rejects.
 
         The alternatives exist for the ablation benchmark.
-    use_dense:
-        ``False`` evaluates the per-round scores through
-        :meth:`WGRAPProblem.assignment_score
-        <repro.core.problem.WGRAPProblem.assignment_score>` and builds the
-        refill inputs through SDGA's object path instead of the compiled
-        kernels (the removal sampling shares one code path — it reads the
-        same cached pair-score matrix either way).  Both paths consume the
-        identical random stream and produce the identical refinement, the
-        conformance oracle for SDGA-SRA's refinement stage.
     """
 
     def __init__(
@@ -100,7 +91,6 @@ class StochasticRefiner:
         backend: str = "hungarian",
         seed: int | None = 0,
         probability_model: str = "decayed",
-        use_dense: bool = True,
     ) -> None:
         if convergence_window < 1:
             raise ConfigurationError("convergence_window (omega) must be at least 1")
@@ -119,7 +109,6 @@ class StochasticRefiner:
         self._backend = backend
         self._seed = seed
         self._probability_model = probability_model
-        self._use_dense = use_dense
 
     # ------------------------------------------------------------------
     # Public API
@@ -130,12 +119,7 @@ class StochasticRefiner:
         """Run the stochastic refinement and return the best assignment found."""
         problem.validate_assignment(assignment, require_complete=True)
         rng = np.random.default_rng(self._seed)
-        if self._use_dense:
-            dense = problem.dense_view()
-            score_of = dense.assignment_score
-        else:
-            dense = None
-            score_of = problem.assignment_score
+        score_of = self._scorer(problem)
         pair_scores = problem.pair_score_matrix()
         # Denominator of Equation 9: how strongly each reviewer scores
         # across *all* papers (reviewers good everywhere are penalised).
@@ -159,7 +143,7 @@ class StochasticRefiner:
             with TRACER.span("sra.round", round=round_index):
                 self._remove_one_reviewer_per_paper(problem, current, pair_scores,
                                                     reviewer_mass, round_index, rng)
-                self._refill(problem, dense, current)
+                self._refill(problem, current)
 
             current_score = score_of(current)
             if current_score > best_score + 1e-12:
@@ -204,8 +188,6 @@ class StochasticRefiner:
         of the pair-score matrix per paper (the same elementwise arithmetic
         as the historical per-member scalar loop, so the sampled victims —
         and the consumed random stream — are identical under a fixed seed).
-        One shared code path for both refiner modes: the sampling reads
-        only the cached pair-score matrix and the problem's id order.
         """
         uniform_floor = 1.0 / problem.num_reviewers
         if self._probability_model == "decayed":
@@ -234,32 +216,28 @@ class StochasticRefiner:
             victim = rng.choice(len(members), p=removal_weights)
             assignment.remove(members[int(victim)], paper_id)
 
-    def _refill(
-        self,
-        problem: WGRAPProblem,
-        dense: "DenseProblem | None",
-        assignment: Assignment,
-    ) -> None:
-        """One Stage-WGRAP step that gives every paper one reviewer back.
+    @staticmethod
+    def _scorer(problem: WGRAPProblem) -> Callable[[Assignment], float]:
+        """The per-round assignment scorer: the dense view's batched kernel."""
+        return problem.dense_view().assignment_score
 
-        On the dense path the stage inputs come from
-        :meth:`DenseProblem.stage_inputs
+    @staticmethod
+    def _refill_inputs(
+        problem: WGRAPProblem, assignment: Assignment
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stage inputs of one uncapped refill round.
+
+        They come from :meth:`DenseProblem.stage_inputs
         <repro.core.dense.DenseProblem.stage_inputs>`, which reads the
         shared (delta-maintained) pair-score matrix through the problem's
         cache chain — after an engine mutation the refill pays only the
-        gain kernel, never a full re-score.  The object path builds the
-        bitwise-identical inputs through SDGA's per-pair oracle.
+        gain kernel, never a full re-score.
         """
-        if dense is not None:
-            gains, forbidden, capacities = dense.stage_inputs(
-                assignment, stage_capped=False
-            )
-        else:
-            gains, forbidden, capacities = (
-                StageDeepeningGreedySolver._stage_inputs_object(
-                    problem, assignment, stage_capped=False
-                )
-            )
+        return problem.dense_view().stage_inputs(assignment, stage_capped=False)
+
+    def _refill(self, problem: WGRAPProblem, assignment: Assignment) -> None:
+        """One Stage-WGRAP step that gives every paper one reviewer back."""
+        gains, forbidden, capacities = self._refill_inputs(problem, assignment)
         result = solve_capacitated_assignment(
             gains, capacities, forbidden=forbidden, backend=self._backend
         )

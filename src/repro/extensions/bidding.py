@@ -222,28 +222,22 @@ class BidAwareSDGASolver(CRASolver):
         same stage problems.
     backend:
         Assignment backend for the per-stage matchings.
-    use_dense:
-        ``False`` builds the per-stage coverage gains through the SDGA
-        object path instead of the compiled
-        :meth:`~repro.core.dense.DenseProblem.stage_inputs` kernel; the
-        modular bid term is added identically in both paths, so the staged
-        matchings — and the assignment — are bitwise-identical (pinned by
-        the conformance harness).
     """
 
     name = "Bid-SDGA"
+
+    #: SDGA's per-stage coverage inputs; the modular bid term is added on top
+    _stage_inputs = staticmethod(StageDeepeningGreedySolver._stage_inputs)
 
     def __init__(
         self,
         objective: BidAwareObjective | None = None,
         backend: str = "hungarian",
-        use_dense: bool = True,
     ) -> None:
         self._objective = (
             objective if objective is not None else BidAwareObjective(bids=BidMatrix())
         )
         self._backend = backend
-        self._use_dense = use_dense
 
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         assignment = Assignment()
@@ -251,14 +245,7 @@ class BidAwareSDGASolver(CRASolver):
         tradeoff = self._objective.tradeoff
 
         for _ in range(problem.group_size):
-            if self._use_dense:
-                gains, forbidden, capacities = StageDeepeningGreedySolver._stage_inputs(
-                    problem, assignment
-                )
-            else:
-                gains, forbidden, capacities = (
-                    StageDeepeningGreedySolver._stage_inputs_object(problem, assignment)
-                )
+            gains, forbidden, capacities = self._stage_inputs(problem, assignment)
             combined = gains + tradeoff * bid_matrix
             result = solve_capacitated_assignment(
                 combined, capacities, forbidden=forbidden, backend=self._backend

@@ -28,11 +28,10 @@ lists come pre-computed (and cached across solves) from
 <repro.core.problem.JRAProblem.sorted_topic_lists>`, the per-node cursor
 advance checks all T fronts in one gather and falls into the per-topic
 walk only for the cursors actually blocked by a visited reviewer, and the
-candidate set is deduplicated with one ``np.unique`` in first-occurrence
-order.  ``use_dense=False`` keeps the historical per-topic cursor loops
-as the conformance oracle; both paths visit the identical search tree
-(same candidate order, same gains, same bounds) and return bitwise-equal
-results.
+candidate set is deduplicated in first-occurrence order.  The historical
+per-topic cursor loops are the conformance reference in ``tests/oracles``;
+both visit the identical search tree (same candidate order, same gains,
+same bounds) and return bitwise-equal results.
 """
 
 from __future__ import annotations
@@ -66,10 +65,6 @@ class BranchAndBoundSolver(JRASolver):
     use_gain_ordering:
         Disable to pick candidates in arbitrary (topic) order instead of by
         marginal gain (ablation only).
-    use_dense:
-        ``False`` selects the historical per-topic cursor loops instead of
-        the vectorised candidate front (conformance oracle; identical
-        search tree either way).
     """
 
     name = "BBA"
@@ -79,14 +74,12 @@ class BranchAndBoundSolver(JRASolver):
         top_k: int = 1,
         use_bound: bool = True,
         use_gain_ordering: bool = True,
-        use_dense: bool = True,
     ) -> None:
         if top_k < 1:
             raise ValueError("top_k must be at least 1")
         self._top_k = top_k
         self._use_bound = use_bound
         self._use_gain_ordering = use_gain_ordering
-        self._use_dense = use_dense
 
     # ------------------------------------------------------------------
     # Core search
@@ -153,14 +146,9 @@ class BranchAndBoundSolver(JRASolver):
                 group_vector = group_vectors[stage]
 
                 # Advance every cursor of this stage past infeasible reviewers.
-                if self._use_dense:
-                    candidates = self._advance_front_vectorized(
-                        cursor, visited_stage, sorted_reviewers, num_reviewers
-                    )
-                else:
-                    candidates = self._advance_front_loops(
-                        cursor, visited_stage, sorted_reviewers, num_reviewers, num_topics
-                    )
+                candidates = self._advance_front(
+                    cursor, visited_stage, sorted_reviewers, num_reviewers
+                )
 
                 if not candidates:
                     stage = self._backtrack(stage, visited_stage, members)
@@ -236,45 +224,19 @@ class BranchAndBoundSolver(JRASolver):
     # Helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _advance_front_loops(
-        cursor: np.ndarray,
-        visited_stage: np.ndarray,
-        sorted_reviewers: np.ndarray,
-        num_reviewers: int,
-        num_topics: int,
-    ) -> list[int]:
-        """The historical per-topic cursor walk (conformance oracle)."""
-        candidates: list[int] = []
-        candidate_set: set[int] = set()
-        for topic in range(num_topics):
-            position = cursor[topic]
-            while (
-                position < num_reviewers
-                and visited_stage[sorted_reviewers[topic, position]] != 0
-            ):
-                position += 1
-            cursor[topic] = position
-            if position < num_reviewers:
-                reviewer = int(sorted_reviewers[topic, position])
-                if reviewer not in candidate_set:
-                    candidate_set.add(reviewer)
-                    candidates.append(reviewer)
-        return candidates
-
-    @staticmethod
-    def _advance_front_vectorized(
+    def _advance_front(
         cursor: np.ndarray,
         visited_stage: np.ndarray,
         sorted_reviewers: np.ndarray,
         num_reviewers: int,
     ) -> list[int]:
-        """The same candidate front with one gather instead of T Python loops.
+        """Advance the cursors past visited reviewers; return the candidates.
 
-        Only cursors whose front reviewer is currently visited fall into
+        One gather checks all T fronts at once; only cursors whose front reviewer is currently visited fall into
         the per-topic walk (at most a handful per node: a cursor can only
         be blocked by a reviewer visited since the cursor array was
         copied).  Deduplication keeps first-occurrence topic order —
-        exactly the list the loop oracle builds, so gain argmax
+        exactly the list the per-topic cursor loop builds, so gain argmax
         tie-breaking and the ablation's ``candidates[0]`` pick are
         unchanged.
         """

@@ -6,9 +6,9 @@ scoring functions) and live mutation chains mixing all three mutation
 kinds (``with_additional_paper``, ``without_reviewer``, conflict edits),
 and held to three invariants:
 
-* **dense == object, bitwise** — solvers tagged ``"dense"`` expose a
-  ``use_dense=False`` object-path oracle; both paths must produce the
-  identical assignment and score.
+* **fast path == ``tests/oracles`` reference, bitwise** — every solver
+  with an object-path reference in :mod:`tests.oracles` must produce the
+  identical assignment and score on its one fast path.
 * **delta-maintained == cold recompile, bitwise** — solving on a problem
   whose compiled caches were carried along a mutation chain must equal
   solving the same instance rebuilt from its entities with every cache

@@ -1,10 +1,10 @@
 """The cross-solver differential conformance tests.
 
 Every registered solver runs on the shared grid (see the package
-docstring) under three strict invariants: dense == object bitwise,
-delta-maintained == cold-recompile bitwise, and validity under a cold
-clone.  CI runs this file at smoke scale (the grid as defined); the
-assertions themselves are never relaxed.
+docstring) under three strict invariants: fast path == ``tests/oracles``
+reference bitwise, delta-maintained == cold-recompile bitwise, and
+validity under a cold clone.  CI runs this file at smoke scale (the grid
+as defined); the assertions themselves are never relaxed.
 """
 
 from __future__ import annotations
@@ -20,12 +20,21 @@ from tests.conformance import (
     cold_clone,
     make_instance,
 )
+from tests.oracles import REFERENCES, reference_solver
 
 CRA_SPECS = available_solver_specs("cra")
 JRA_SPECS = available_solver_specs("jra")
 FAST_CRA = [spec for spec in CRA_SPECS if "exponential" not in spec.tags]
 EXPONENTIAL_CRA = [spec for spec in CRA_SPECS if "exponential" in spec.tags]
-DENSE_CRA = [spec for spec in CRA_SPECS if "dense" in spec.tags]
+REFERENCED_CRA = sorted(name for kind, name in REFERENCES if kind == "cra")
+
+#: Registered solvers deliberately without a ``tests/oracles`` reference:
+#: they have no compiled fast path to diff, and are held to the
+#: delta == cold and cross-solver optimum checks instead.
+WITHOUT_REFERENCE = {
+    "cra": {"ILP", "Exhaustive"},
+    "jra": {"BFS", "ILP", "CP", "CP-FIRST"},
+}
 
 
 def _ids(specs):
@@ -38,45 +47,45 @@ class TestRegistryCoverage:
     def test_every_cra_solver_is_in_exactly_one_speed_class(self):
         assert sorted(_ids(FAST_CRA) + _ids(EXPONENTIAL_CRA)) == available_solvers("cra")
 
-    def test_every_dense_tagged_solver_accepts_the_oracle_switch(self):
+    def test_every_solver_has_a_reference_or_is_listed_without_one(self):
         problem = make_instance(TINY)
-        for spec in DENSE_CRA:
-            solver = create_solver("cra", spec.name, use_dense=False)
-            result = solver.solve(problem)
-            cold_clone(problem).validate_assignment(result.assignment)
+        for kind in ("cra", "jra"):
+            referenced = {name for ref_kind, name in REFERENCES if ref_kind == kind}
+            assert not referenced & WITHOUT_REFERENCE[kind]
+            assert sorted(referenced | WITHOUT_REFERENCE[kind]) == available_solvers(kind)
+        for kind, name in REFERENCES:
+            if kind == "cra":
+                result = reference_solver(kind, name).solve(problem)
+                cold_clone(problem).validate_assignment(result.assignment)
+            else:
+                reference_solver(kind, name).solve(problem.to_jra(problem.paper_ids[0]))
 
-    def test_jra_dense_tagged_solver_accepts_the_oracle_switch(self):
-        problem = make_instance(TINY).to_jra(make_instance(TINY).paper_ids[0])
-        for spec in JRA_SPECS:
-            if "dense" in spec.tags:
-                create_solver("jra", spec.name, use_dense=False).solve(problem)
 
-
-class TestDenseEqualsObjectBitwise:
-    """Every dense-tagged CRA solver: fast path == object oracle, bitwise."""
+class TestFastPathEqualsReferenceBitwise:
+    """Every referenced CRA solver: fast path == ``tests/oracles`` reference, bitwise."""
 
     @pytest.mark.parametrize("instance_id", sorted(GRID))
-    @pytest.mark.parametrize("spec", DENSE_CRA, ids=_ids(DENSE_CRA))
-    def test_cra_dense_object_equivalence(self, spec, instance_id):
+    @pytest.mark.parametrize("name", REFERENCED_CRA)
+    def test_cra_fast_path_equals_reference(self, name, instance_id):
         problem = make_instance(GRID[instance_id])
-        dense = create_solver("cra", spec.name, use_dense=True).solve(problem)
-        oracle = create_solver("cra", spec.name, use_dense=False).solve(problem)
-        assert dense.assignment == oracle.assignment, (
-            f"{spec.name} diverged from its object oracle on {instance_id!r}"
+        fast = create_solver("cra", name).solve(problem)
+        reference = reference_solver("cra", name).solve(problem)
+        assert fast.assignment == reference.assignment, (
+            f"{name} diverged from its tests/oracles reference on {instance_id!r}"
         )
-        assert dense.score == oracle.score  # bitwise, not approx
+        assert fast.score == reference.score  # bitwise, not approx
 
     @pytest.mark.parametrize("instance_id", sorted(GRID))
-    def test_bba_dense_object_equivalence(self, instance_id):
+    def test_bba_fast_path_equals_reference(self, instance_id):
         problem = make_instance(GRID[instance_id])
         for paper_id in (problem.paper_ids[0], problem.paper_ids[-1]):
             jra = problem.to_jra(paper_id)
-            dense = create_solver("jra", "BBA", use_dense=True, top_k=3).solve(jra)
-            oracle = create_solver("jra", "BBA", use_dense=False, top_k=3).solve(jra)
-            assert dense.reviewer_ids == oracle.reviewer_ids
-            assert dense.score == oracle.score
+            fast = create_solver("jra", "BBA", top_k=3).solve(jra)
+            reference = reference_solver("jra", "BBA", top_k=3).solve(jra)
+            assert fast.reviewer_ids == reference.reviewer_ids
+            assert fast.score == reference.score
             # identical search tree: node counts and the ranked top-k too
-            assert dict(dense.stats) == dict(oracle.stats)
+            assert dict(fast.stats) == dict(reference.stats)
 
 
 class TestDeltaEqualsColdRecompileBitwise:

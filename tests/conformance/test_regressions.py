@@ -11,10 +11,10 @@ import pytest
 from repro.core.entities import Paper, Reviewer
 from repro.core.problem import WGRAPProblem
 from repro.core.vectors import TopicVector
-from repro.cra.greedy import GreedySolver
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import create_solver
 from tests.conformance import GRID, apply_chain, cold_clone, make_instance
+from tests.oracles import LazyHeapGreedy, reference_solver
 
 
 class TestGreedyHeapTieDrift:
@@ -23,11 +23,10 @@ class TestGreedyHeapTieDrift:
     On the tie-heavy ``reviewer_coverage`` grid cell the heap's ulp-stale
     records reorder exact-gain ties and cascade into a *different
     assignment with a different score* (18.3497 vs 18.3628 at the time of
-    the finding) — a historical divergence PR 3 documented but the old
-    dense-vs-object comparison never covered.  The fix: Greedy's object
-    oracle is the naive true-argmax re-scan evaluated through the object
-    layer; the heap stays reachable explicitly (``lazy_heap=True``) as a
-    benchmark baseline.
+    the finding) — a historical divergence the dense-kernel work documented
+    but the old dense-vs-object comparison never covered.  The fix: Greedy's
+    reference is the naive true-argmax re-scan evaluated through the object
+    layer; the heap stays in ``tests/oracles`` as a benchmark baseline.
     """
 
     INSTANCE = "tie-heavy-reviewer-coverage"
@@ -37,21 +36,50 @@ class TestGreedyHeapTieDrift:
 
     def test_dense_greedy_matches_naive_object_oracle_bitwise(self):
         problem = self._mutated()
-        dense = create_solver("cra", "Greedy", use_dense=True).solve(problem)
-        oracle = create_solver("cra", "Greedy", use_dense=False).solve(problem)
+        dense = create_solver("cra", "Greedy").solve(problem)
+        oracle = reference_solver("cra", "Greedy").solve(problem)
         assert dense.assignment == oracle.assignment
         assert dense.score == oracle.score
 
-    def test_registry_object_oracle_is_the_naive_scan_not_the_heap(self):
-        solver = create_solver("cra", "Greedy", use_dense=False)
+    def test_greedy_reference_is_the_naive_scan_not_the_heap(self):
+        solver = reference_solver("cra", "Greedy")
         result = solver.solve(make_instance(GRID[self.INSTANCE]))
         assert result.stats["strategy"] == "naive_object"
 
     def test_heap_baseline_remains_reachable_and_valid(self):
         problem = self._mutated()
-        heap = GreedySolver(use_lazy_heap=True, use_dense=False).solve(problem)
+        heap = LazyHeapGreedy().solve(problem)
         assert heap.stats["strategy"] == "lazy_heap"
         cold_clone(problem).validate_assignment(heap.assignment)
+
+
+class TestSolveOptionsCannotSelectAnOracle:
+    """Solve options used to reach the object-path oracles.
+
+    ``solve`` and ``portfolio`` options go straight into the registry
+    factories, so ``{"options": {"use_dense": false}}`` over the network
+    selected Greedy's object-path re-scan — orders of magnitude slower
+    than the fast path on a served tenant — and ``lazy_heap`` its heap.
+    The references now live in ``tests/oracles``; the factories ignore
+    both options, so an old client's request is accepted and answered by
+    the one fast path.
+    """
+
+    INSTANCE = "tie-heavy-reviewer-coverage"
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"use_dense": False}, {"use_dense": False, "lazy_heap": True}],
+        ids=["use_dense", "use_dense+lazy_heap"],
+    )
+    def test_oracle_options_have_no_effect(self, options):
+        plain = AssignmentEngine(make_instance(GRID[self.INSTANCE])).solve("Greedy")
+        optioned = AssignmentEngine(make_instance(GRID[self.INSTANCE])).solve(
+            "Greedy", **options
+        )
+        assert optioned.assignment == plain.assignment
+        assert optioned.score == plain.score
+        assert dict(optioned.stats) == dict(plain.stats)
 
 
 def _tiny_entities(num_topics: int = 3):
@@ -102,8 +130,8 @@ class TestStaleConflictEntriesAfterWithdrawal:
         )
         problem.dense_view()
         derived = problem.without_reviewer("r2")
-        dense = create_solver("cra", "BRGG", use_dense=True).solve(derived)
-        oracle = create_solver("cra", "BRGG", use_dense=False).solve(derived)
+        dense = create_solver("cra", "BRGG").solve(derived)
+        oracle = reference_solver("cra", "BRGG").solve(derived)
         # The phantom "r2" entry used to push the object path's available
         # count below delta_p, forcing a partial group + a repair detour
         # (observable as repaired=True here, and as an outright
@@ -134,15 +162,15 @@ class TestStaleConflictEntriesAfterWithdrawal:
 
 class TestConformanceSweepStaysClean:
     """The exact sweep cell that exposed finding #1 must stay clean for
-    every dense-tagged solver (cheap insurance against tie-order drift
-    reappearing through a kernel change)."""
+    every constructive solver with a reference (cheap insurance against
+    tie-order drift reappearing through a kernel change)."""
 
     @pytest.mark.parametrize("name", ["Greedy", "SDGA", "SM", "BRGG", "Ratio-Greedy", "Repair"])
     def test_tie_heavy_cell_dense_object_parity(self, name):
         problem = apply_chain(
             make_instance(GRID["tie-heavy-reviewer-coverage"]), "interleaved-all-three"
         )
-        dense = create_solver("cra", name, use_dense=True).solve(problem)
-        oracle = create_solver("cra", name, use_dense=False).solve(problem)
+        dense = create_solver("cra", name).solve(problem)
+        oracle = reference_solver("cra", name).solve(problem)
         assert dense.assignment == oracle.assignment
         assert dense.score == oracle.score

@@ -20,6 +20,7 @@ from repro.cra.stable_matching import StableMatchingSolver
 from repro.data.synthetic import make_problem
 from repro.exceptions import ConfigurationError
 from tests.conftest import exhaustive_optimal_assignment
+from tests.oracles import LazyHeapGreedy, NaiveGreedyOracle, StableMatchingOracle
 
 ALL_SOLVERS = [
     StableMatchingSolver,
@@ -144,17 +145,15 @@ class TestSDGADetails:
 
 class TestGreedyDetails:
     def test_lazy_and_naive_strategies_agree(self, small_problem):
-        lazy = GreedySolver(use_lazy_heap=True).solve(small_problem)
-        naive = GreedySolver(use_lazy_heap=False).solve(small_problem)
+        lazy = GreedySolver().solve(small_problem)
+        naive = NaiveGreedyOracle().solve(small_problem)
         assert lazy.score == pytest.approx(naive.score)
 
     def test_stats_reflect_strategy(self, small_problem):
-        lazy = GreedySolver(use_lazy_heap=True).solve(small_problem)
-        heap = GreedySolver(use_lazy_heap=True, use_dense=False).solve(small_problem)
-        naive = GreedySolver(use_lazy_heap=False).solve(small_problem)
+        lazy = GreedySolver().solve(small_problem)
+        heap = LazyHeapGreedy().solve(small_problem)
         assert lazy.stats["strategy"] == "dense_argmax"
         assert heap.stats["strategy"] == "lazy_heap"
-        assert naive.stats["strategy"] == "naive"
         assert lazy.stats["iterations"] == small_problem.num_papers * small_problem.group_size
 
 
@@ -371,8 +370,8 @@ class TestStableMatchingLiveConflictEdits:
             num_papers=8, num_reviewers=8, num_topics=6, group_size=2,
             reviewer_workload=4, seed=7, conflict_ratio=0.0,
         )
-        dense_solver = StableMatchingSolver(use_dense=True)
-        object_solver = StableMatchingSolver(use_dense=False)
+        dense_solver = StableMatchingSolver()
+        object_solver = StableMatchingOracle()
         first = dense_solver.solve(problem)
         reviewer_id, paper_id = sorted(first.assignment.pairs())[-1]
         problem.conflicts.add(reviewer_id, paper_id)
@@ -403,7 +402,7 @@ class TestRatioGreedy:
             reviewer_workload=3, seed=11,
         )
         ratio = RatioGreedySolver().solve(problem)
-        greedy = GreedySolver(use_lazy_heap=False).solve(problem)
+        greedy = NaiveGreedyOracle().solve(problem)
         assert ratio.stats["iterations"] >= 1
         # Both solvers pick the global max of the same (unweighted) gain
         # matrix on step one; equality of the full assignments is not

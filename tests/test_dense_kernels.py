@@ -8,9 +8,8 @@ Two families of guarantees keep ``repro.core.dense`` honest:
   and scoring functions;
 * **solver equivalence** — every solver rewired onto the dense view
   returns an assignment identical to its pre-refactor object-path
-  behaviour (kept alongside as ``use_dense=False`` where the search logic
-  moved, or replicated here as a pinned reference where only the input
-  staging moved).
+  behaviour (the object-path references in ``tests/oracles``, or a pinned
+  reference replicated here where only the SRA loop's staging moved).
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ from repro.cra.stable_matching import StableMatchingSolver
 from repro.data.synthetic import make_problem
 from repro.jra.topk import find_top_k_groups
 from repro.service.cache import ScoreMatrixCache
+from tests.oracles import LazyHeapGreedy, LocalSearchOracle, NaiveGreedyOracle
+from tests.oracles.inputs import preferences_object, stage_inputs_object
 
 
 def _instance(seed: int, scoring: str | None = None, conflict_ratio: float = 0.06):
@@ -148,44 +149,12 @@ class TestDenseKernels:
                 else _partial_assignment(problem, seed + per_paper, per_paper)
             )
             gains, forbidden, capacities = dense.stage_inputs(assignment)
-            ref_gains, ref_forbidden, ref_capacities = _reference_stage_inputs(
+            ref_gains, ref_forbidden, ref_capacities = stage_inputs_object(
                 problem, assignment
             )
             assert np.array_equal(gains, ref_gains)
             assert np.array_equal(forbidden, ref_forbidden)
             assert np.array_equal(capacities, ref_capacities)
-
-
-def _reference_stage_inputs(problem, assignment):
-    """The pre-refactor per-pair Python staging of SDGA stages."""
-    num_papers = problem.num_papers
-    num_reviewers = problem.num_reviewers
-    gains = np.zeros((num_papers, num_reviewers), dtype=np.float64)
-    forbidden = np.zeros((num_papers, num_reviewers), dtype=bool)
-    for paper_idx, paper_id in enumerate(problem.paper_ids):
-        group_vector = problem.group_vector(assignment, paper_id)
-        gains[paper_idx] = problem.scoring.gain_vector(
-            group_vector, problem.reviewer_matrix, problem.paper_matrix[paper_idx]
-        )
-        current_group = assignment.reviewers_of(paper_id)
-        conflicted = problem.conflicts.reviewers_conflicting_with(paper_id)
-        for reviewer_idx, reviewer_id in enumerate(problem.reviewer_ids):
-            if reviewer_id in current_group or reviewer_id in conflicted:
-                forbidden[paper_idx, reviewer_idx] = True
-    remaining = np.maximum(
-        np.array(
-            [
-                problem.reviewer_workload - assignment.load(reviewer_id)
-                for reviewer_id in problem.reviewer_ids
-            ],
-            dtype=np.int64,
-        ),
-        0,
-    )
-    capacities = np.minimum(problem.stage_workload, remaining)
-    if int(capacities.sum()) < num_papers:
-        capacities = remaining
-    return gains, forbidden, capacities
 
 
 # ----------------------------------------------------------------------
@@ -208,12 +177,8 @@ class TestRewiredSolversMatchObjectPath:
             group_size=group_size,
             conflict_ratio=0.08,
         )
-        dense_result = GreedySolver(use_dense=True).solve(
-            make_problem(seed=seed, **kwargs)
-        )
-        naive_result = GreedySolver(use_lazy_heap=False).solve(
-            make_problem(seed=seed, **kwargs)
-        )
+        dense_result = GreedySolver().solve(make_problem(seed=seed, **kwargs))
+        naive_result = NaiveGreedyOracle().solve(make_problem(seed=seed, **kwargs))
         assert dense_result.assignment == naive_result.assignment
         assert dense_result.score == naive_result.score
         assert (
@@ -223,8 +188,8 @@ class TestRewiredSolversMatchObjectPath:
     @pytest.mark.parametrize("seed", range(4))
     def test_greedy_dense_equals_object_heap(self, seed):
         """On tie-free instances the dense path also matches the lazy heap."""
-        dense_result = GreedySolver(use_dense=True).solve(_instance(seed))
-        object_result = GreedySolver(use_dense=False).solve(_instance(seed))
+        dense_result = GreedySolver().solve(_instance(seed))
+        object_result = LazyHeapGreedy().solve(_instance(seed))
         assert dense_result.assignment == object_result.assignment
         assert dense_result.score == object_result.score
         assert dense_result.stats["repaired"] == object_result.stats["repaired"]
@@ -235,10 +200,10 @@ class TestRewiredSolversMatchObjectPath:
         problem = _instance(seed, conflict_ratio=0.1)
         base = StageDeepeningGreedySolver().solve(problem).assignment
         refined_dense, stats_dense = LocalSearchRefiner(
-            max_rounds=4, moves=moves, use_dense=True
+            max_rounds=4, moves=moves
         ).refine(problem, base)
-        refined_object, stats_object = LocalSearchRefiner(
-            max_rounds=4, moves=moves, use_dense=False
+        refined_object, stats_object = LocalSearchOracle(
+            max_rounds=4, moves=moves
         ).refine(problem, base)
         assert refined_dense == refined_object
         assert stats_dense["final_score"] == stats_object["final_score"]
@@ -262,18 +227,9 @@ class TestRewiredSolversMatchObjectPath:
     @pytest.mark.parametrize("seed", range(3))
     def test_stable_matching_preferences_match_reference(self, seed):
         problem = _instance(seed, conflict_ratio=0.12)
-        dense = problem.dense_view()
-        pair_scores = dense.pair_scores()
-        for paper_idx, paper_id in enumerate(problem.paper_ids):
-            order = np.argsort(-pair_scores[:, paper_idx], kind="stable")
-            forbidden = problem.conflicts.reviewers_conflicting_with(paper_id)
-            reference = [
-                int(reviewer_idx)
-                for reviewer_idx in order
-                if problem.reviewer_ids[reviewer_idx] not in forbidden
-            ]
-            compiled = order[dense.feasible[order, paper_idx]].tolist()
-            assert compiled == reference
+        pair_scores = problem.dense_view().pair_scores()
+        compiled = StableMatchingSolver._preferences(problem, pair_scores)
+        assert compiled == preferences_object(problem, pair_scores)
         # and the full solve still produces a valid, repair-free matching
         result = StableMatchingSolver().solve(problem)
         problem.validate_assignment(result.assignment)

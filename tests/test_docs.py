@@ -119,13 +119,13 @@ class TestSolverReferenceTables:
         [("## Conference (CRA) solvers", "cra"), ("## Journal (JRA) solvers", "jra")],
     )
     def test_fast_path_column_matches_registry_tags(self, solvers_page, heading, kind):
-        """The dense/delta support a row claims must equal the solver's
-        registry tags — the conformance harness enforces the tags, this
-        test keeps the human-readable table from drifting away from them."""
+        """The delta support a row claims must equal the solver's registry
+        tags — the conformance harness enforces the tags, this test keeps
+        the human-readable table from drifting away from them."""
         for row in _table_rows(solvers_page, heading):
             canonical = _first_name(row)
-            documented = set(_names_in_cell(row[2])) & {"dense", "delta"}
-            registered = set(solver_spec(kind, canonical).tags) & {"dense", "delta"}
+            documented = set(_names_in_cell(row[2])) & {"delta"}
+            registered = set(solver_spec(kind, canonical).tags) & {"delta"}
             assert documented == registered, (
                 f"{canonical}: fast-path cell says {sorted(documented)!r} but the "
                 f"registry tags say {sorted(registered)!r}"
