@@ -17,10 +17,12 @@ update with work proportional to the delta, not the database):
   object path stays the oracle, pinned by ``tests/test_delta_view.py``.
   The *scoring* work — the dominant ``O(R * P * T)`` term — is strictly
   delta-proportional; the index-space arrays themselves are carried by
-  cheap copies (the pair-score matrix amortised through a chain-shared
-  :class:`ScoreArena`, the boolean mask and topic matrices by plain
-  ``O(R * P / 8)`` / ``O(P * T)`` memcpys that are orders of magnitude
-  below the re-scoring they replace).
+  cheap copies (the pair-score matrix — the chain's only one, see
+  :func:`built_score_matrix` — amortised through a chain-shared
+  :class:`ScoreArena` or the store's :class:`ScoreBlocks`, the boolean
+  mask and topic matrices by plain ``O(R * P / 8)`` / ``O(P * T)``
+  memcpys that are orders of magnitude below the re-scoring they
+  replace).
 * **In-place conflict patches** — the live
   :class:`~repro.core.constraints.ConflictOfInterest` container keeps a
   changelog; a compiled view that has fallen behind replays the tail of
@@ -45,6 +47,7 @@ exposes through its ``stats`` request (``delta_applies``, ``recompiles``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,15 +60,20 @@ TRACER = get_tracer()
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
     from repro.core.entities import Paper
     from repro.core.problem import WGRAPProblem
+    from repro.parallel.config import ParallelConfig
+    from repro.store.blocks import MemmapScoreStore
 
 __all__ = [
     "PRUNE_MARGIN",
     "ScoreArena",
+    "ScoreBlocks",
     "ViewStats",
     "PrunedCandidateGenerator",
     "appended_score_column",
+    "built_score_matrix",
     "dense_view_with_paper",
     "dense_view_without_reviewer",
+    "dropped_score_row",
     "patch_conflicts_in_place",
 ]
 
@@ -101,6 +109,10 @@ class ViewStats:
     prune_fallbacks:
         Candidate-generator answers where the bound could not certify the
         argmax and the full column was evaluated.
+    full_builds, scored_cells:
+        Cold builds of the chain's pair-score matrix, and the cells scored
+        for it (``R * P`` per build, ``R`` per late paper).  Reported by
+        :class:`~repro.service.cache.CacheStats`, not by :meth:`as_dict`.
     """
 
     recompiles: int = 0
@@ -108,6 +120,8 @@ class ViewStats:
     conflict_patches: int = 0
     prune_certified: int = 0
     prune_fallbacks: int = 0
+    full_builds: int = 0
+    scored_cells: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view (for the engine's ``stats`` request)."""
@@ -121,7 +135,7 @@ class ViewStats:
 
 
 # ----------------------------------------------------------------------
-# Delta-derived pair scores
+# The pair-score matrix: one cold build per chain, then delta-derived
 # ----------------------------------------------------------------------
 class ScoreArena:
     """A shared, geometrically grown backing buffer for pair-score matrices.
@@ -145,13 +159,66 @@ class ScoreArena:
         self.used = used
 
 
+class ScoreBlocks:
+    """The memmap store and generation behind a problem's pair-score view.
+
+    The view is the store's *live* mapping only while its generation is
+    current and the store holds exactly its columns; only then do appends
+    and row drops write into the blocks directly.  Any other view (a
+    branched chain, a rolled-back withdrawal) is first copied into a fresh
+    generation, so no view ever maps a column a sibling appended.
+    """
+
+    __slots__ = ("store", "generation")
+
+    def __init__(self, store: "MemmapScoreStore") -> None:
+        self.store = store
+        self.generation = store.generation
+
+    def live_store(self, scores: np.ndarray) -> "MemmapScoreStore":
+        """The store, with ``scores`` as its live mapping."""
+        store = self.store
+        if self.generation != store.generation or scores.shape[1] != store.cols:
+            store.write_all(scores)
+        return store
+
+
+def built_score_matrix(
+    problem: "WGRAPProblem", parallel: "ParallelConfig | None" = None
+) -> tuple[np.ndarray, ScoreBlocks | None]:
+    """Score ``problem``'s whole ``(R, P)`` matrix from scratch.
+
+    The chain's matrix picks its medium here: block-by-block into the
+    bound store's :meth:`~repro.store.base.ProblemStore.matrix_backend`
+    when it has one (peak RAM one column block), else one RAM array.
+    Returns the read-only matrix and its :class:`ScoreBlocks` or ``None``.
+    """
+    num_reviewers, num_papers = problem.num_reviewers, problem.num_papers
+    papers = problem.paper_matrix
+    # ``parallel`` only when set, keeping the serial call shape tests wrap.
+    options = {} if parallel is None else {"parallel": parallel}
+    score = partial(problem.scoring.score_matrix, problem.reviewer_matrix, **options)
+    with TRACER.span("cache.full_build", reviewers=num_reviewers, papers=num_papers):
+        blocks = problem.entity_store.matrix_backend()
+        if blocks is None:
+            scores, medium = score(papers), None
+            scores.setflags(write=False)
+        else:
+            blocks.build(num_reviewers, num_papers, lambda j0, j1: score(papers[j0:j1]))
+            scores, medium = blocks.view(writable=False), ScoreBlocks(blocks)
+    stats = problem.view_stats
+    stats.full_builds += 1
+    stats.scored_cells += num_reviewers * num_papers
+    return scores, medium
+
+
 def appended_score_column(
     problem: "WGRAPProblem",
     parent_scores: np.ndarray,
-    parent_arena: ScoreArena | None,
+    parent_medium: ScoreArena | ScoreBlocks | None,
     paper: "Paper",
     column: np.ndarray | None = None,
-) -> tuple[np.ndarray, ScoreArena]:
+) -> tuple[np.ndarray, ScoreArena | ScoreBlocks]:
     """The pair-score matrix of ``problem`` with the new paper's column scored.
 
     ``parent_scores`` is the source problem's cached ``(R, P)`` matrix; the
@@ -163,10 +230,10 @@ def appended_score_column(
     re-score of the derived problem.  A caller that already scored the
     column through the same kernel — e.g. the engine's staffing-shortlist
     pass — can hand it in via ``column`` so the pairs are scored exactly
-    once per mutation.  The backing storage comes from a
-    :class:`ScoreArena` shared along the chain, so the full-matrix copy is
-    paid only when the arena must grow (or the chain branched), not on
-    every append.
+    once per mutation (and counted once).  The column goes to the parent's
+    medium: its :class:`ScoreBlocks`, or a :class:`ScoreArena` shared along
+    the chain, so the full-matrix copy is paid only when the arena must
+    grow (or the chain branched), not on every append.
     """
     from repro.parallel.sharding import score_appended_columns
 
@@ -180,8 +247,13 @@ def appended_score_column(
         column = np.asarray(column, dtype=np.float64).reshape(
             problem.num_reviewers, 1
         )
+    problem.view_stats.scored_cells += problem.num_reviewers
+    if isinstance(parent_medium, ScoreBlocks):
+        store = parent_medium.live_store(parent_scores)
+        store.append_column(column[:, 0])
+        return store.view(writable=False), ScoreBlocks(store)
     num_reviewers, num_papers = parent_scores.shape
-    arena = parent_arena
+    arena = parent_medium
     if (
         arena is None
         or arena.used != num_papers
@@ -197,6 +269,24 @@ def appended_score_column(
     scores = arena.buffer[:, : num_papers + 1]
     scores.setflags(write=False)
     return scores, arena
+
+
+def dropped_score_row(
+    parent_scores: np.ndarray,
+    parent_medium: ScoreArena | ScoreBlocks | None,
+    row: int,
+) -> tuple[np.ndarray, ScoreBlocks | None]:
+    """The pair-score matrix without reviewer ``row``, in the parent's medium.
+
+    Pair scores are independent across reviewers: no re-scoring at all.
+    """
+    if isinstance(parent_medium, ScoreBlocks):
+        store = parent_medium.live_store(parent_scores)
+        store.drop_row(row)
+        return store.view(writable=False), ScoreBlocks(store)
+    scores = np.delete(parent_scores, row, axis=0)
+    scores.setflags(write=False)
+    return scores, None
 
 
 # ----------------------------------------------------------------------

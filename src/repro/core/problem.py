@@ -90,9 +90,9 @@ class ProblemMutation:
     Emitted by the derived-problem constructors
     (:meth:`WGRAPProblem.with_additional_paper`,
     :meth:`WGRAPProblem.without_reviewer`) so that long-lived components —
-    most importantly the score-matrix cache of
-    :class:`repro.service.engine.AssignmentEngine` — can update their state
-    incrementally instead of recomputing everything from the new instance.
+    the :class:`repro.service.engine.AssignmentEngine`, its ranking cache
+    and its problem store — can update their state incrementally instead
+    of recomputing everything from the new instance.
 
     Attributes
     ----------
@@ -197,8 +197,8 @@ class WGRAPProblem:
         self._reviewer_matrix: np.ndarray | None = None
         self._paper_matrix: np.ndarray | None = None
         self._pair_scores: np.ndarray | None = None
-        #: backing arena when the pair scores live in a chain-shared buffer
-        self._pair_arena = None
+        #: ``_pair_scores``' medium: ``ScoreArena``, ``ScoreBlocks`` or ``None``
+        self._pair_medium = None
         self._dense_view: "DenseProblem | None" = None
         #: bound storage backend answering entity/candidate queries, or
         #: ``None`` until one is bound / lazily defaulted to the in-RAM one
@@ -355,6 +355,10 @@ class WGRAPProblem:
     def warm_pair_scores(self, parallel=None) -> np.ndarray:
         """Materialise (and cache) the pair-score matrix.
 
+        The chain's only ``(R, P)`` score matrix: built once by
+        :func:`repro.core.delta.built_score_matrix` (in RAM or the bound
+        store's memmap blocks), then carried to derived problems by delta.
+
         ``parallel`` is an optional :class:`~repro.parallel.ParallelConfig`
         forwarded to :meth:`ScoringFunction.score_matrix
         <repro.core.scoring.ScoringFunction.score_matrix>`: large problems
@@ -364,14 +368,9 @@ class WGRAPProblem:
         :meth:`pair_score_matrix` afterwards.
         """
         if self._pair_scores is None:
-            if parallel is not None:
-                scores = self._scoring.score_matrix(
-                    self.reviewer_matrix, self.paper_matrix, parallel=parallel
-                )
-            else:
-                scores = self._scoring.score_matrix(self.reviewer_matrix, self.paper_matrix)
-            scores.setflags(write=False)
-            self._pair_scores = scores
+            from repro.core.delta import built_score_matrix
+
+            self._pair_scores, self._pair_medium = built_score_matrix(self, parallel)
         return self._pair_scores
 
     def pair_score(self, reviewer_id: str, paper_id: str) -> float:
@@ -384,42 +383,8 @@ class WGRAPProblem:
 
     @property
     def cached_pair_scores(self) -> np.ndarray | None:
-        """The pair-score matrix if it has been materialised, else ``None``.
-
-        Long-lived components (the engine's score cache) use this to avoid
-        re-scoring a problem some solver already warmed.
-        """
+        """The pair-score matrix if it has been materialised, else ``None``."""
         return self._pair_scores
-
-    def adopt_pair_scores(self, scores: np.ndarray, copy: bool = True) -> None:
-        """Seed the pair-score cache with an externally computed matrix.
-
-        Used by :class:`repro.service.cache.ScoreMatrixCache` after a build
-        or an incremental repair so solvers reading
-        :meth:`pair_score_matrix` afterwards reuse the engine's matrix
-        instead of re-scoring all ``R * P`` cells.  A read-only copy is
-        stored (the cache keeps mutating its own buffer).  No-op when this
-        problem already has a matrix; raises for a wrong shape.
-
-        ``copy=False`` adopts a read-only *view* instead — the memmap-block
-        cache backend uses this so an out-of-core matrix is never pulled
-        into RAM; it is only safe because that backend never rewrites a
-        region an adopted view maps (shape changes go to a fresh
-        generation file).
-        """
-        if self._pair_scores is not None:
-            return
-        if copy:
-            adopted = np.array(scores, dtype=np.float64)
-        else:
-            adopted = np.asarray(scores, dtype=np.float64).view()
-        if adopted.shape != (self.num_reviewers, self.num_papers):
-            raise DimensionMismatchError(
-                f"pair-score matrix of shape {adopted.shape} does not fit a problem "
-                f"with {self.num_reviewers} reviewers and {self.num_papers} papers"
-            )
-        adopted.setflags(write=False)
-        self._pair_scores = adopted
 
     def dense_view(self) -> "DenseProblem":
         """The cached index-space compilation of this problem.
@@ -481,7 +446,7 @@ class WGRAPProblem:
         self._reviewer_matrix = None
         self._paper_matrix = None
         self._pair_scores = None
-        self._pair_arena = None
+        self._pair_medium = None
         self._dense_view = None
 
     # ------------------------------------------------------------------
@@ -742,8 +707,8 @@ class WGRAPProblem:
         if self._pair_scores is not None:
             from repro.core.delta import appended_score_column
 
-            derived._pair_scores, derived._pair_arena = appended_score_column(
-                derived, self._pair_scores, self._pair_arena, paper,
+            derived._pair_scores, derived._pair_medium = appended_score_column(
+                derived, self._pair_scores, self._pair_medium, paper,
                 column=pair_score_column,
             )
             carried = True
@@ -822,9 +787,11 @@ class WGRAPProblem:
             derived._reviewer_matrix = matrix
             carried = True
         if self._pair_scores is not None:
-            scores = np.delete(self._pair_scores, row, axis=0)
-            scores.setflags(write=False)
-            derived._pair_scores = scores
+            from repro.core.delta import dropped_score_row
+
+            derived._pair_scores, derived._pair_medium = dropped_score_row(
+                self._pair_scores, self._pair_medium, row
+            )
             carried = True
         if self._dense_view is not None:
             from repro.core.delta import dense_view_without_reviewer

@@ -23,7 +23,7 @@ __all__ = ["METRIC_NAMES", "SPAN_NAMES", "matches_name"]
 #: span name -> one-line description (where it is opened and what it times)
 SPAN_NAMES: dict[str, str] = {
     "request.<kind>": "one served request of the given wire kind (EngineSession.dispatch)",
-    "engine.solve": "AssignmentEngine.solve: cache warm-up, solver run, bookkeeping",
+    "engine.solve": "AssignmentEngine.solve: solver run (a cold chain builds its matrix), bookkeeping",
     "engine.portfolio": "AssignmentEngine.solve_portfolio: the whole portfolio race",
     "engine.journal_query": "AssignmentEngine.journal_query: JRA problem build + solve",
     "engine.add_paper": "AssignmentEngine.add_paper: delta view derivation + cache update",
@@ -34,8 +34,7 @@ SPAN_NAMES: dict[str, str] = {
     "sdga.stage": "StageDeepeningGreedySolver: one deepening stage",
     "sra.round": "StochasticRefiner: one stochastic restart round",
     "bba.search": "BranchAndBoundSolver: the expansion/backtrack search loop",
-    "cache.full_build": "ScoreMatrixCache: cold full score-matrix build",
-    "cache.partial_update": "ScoreMatrixCache: incremental column append/patch",
+    "cache.full_build": "delta.built_score_matrix: cold build of the chain's score matrix",
     "dense.recompile": "WGRAPProblem.dense_view: cold DenseProblem compilation",
     "delta.append_paper": "delta.dense_view_with_paper: carry a dense view across add_paper",
     "delta.drop_reviewer": "delta.dense_view_without_reviewer: carry a view across a withdraw",
@@ -74,7 +73,7 @@ METRIC_NAMES: dict[str, str] = {
     "service.errors.<error_type>": "failures by structured error_type",
     "service.request.<kind>.seconds": "histogram: request latency per wire kind",
     "solver.<name>.seconds": "histogram: per-solver wall time (process-global registry)",
-    "cache.<stat>": "gauge: absorbed ScoreMatrixCache counters (cache.describe())",
+    "cache.<stat>": "gauge: absorbed score-matrix and ranking counters (CacheStats)",
     "delta.<stat>": "gauge: absorbed dense-view ViewStats counters",
     "store.<stat>": "gauge: absorbed ProblemStore row/index/block counters (store.describe())",
     "service.net.connections": "client connections accepted by the TCP server",

@@ -10,7 +10,7 @@ one :class:`~repro.parallel.config.ParallelConfig`:
   result is **bitwise-identical** to the serial path while avoiding the
   full ``(R, P, T)`` broadcast intermediate.  Wired into
   :meth:`ScoringFunction.score_matrix <repro.core.scoring.ScoringFunction.score_matrix>`,
-  :class:`~repro.service.cache.ScoreMatrixCache` and
+  :func:`~repro.core.delta.built_score_matrix` and
   :class:`~repro.service.engine.AssignmentEngine`.
 * :mod:`repro.parallel.portfolio` — a solver portfolio that races several
   registered CRA solvers on the same problem under an optional deadline

@@ -7,7 +7,7 @@ parallelism a caller wants; every parallel entry point
 :func:`~repro.parallel.trials.run_trials`) accepts one and the serving
 stack (:class:`~repro.service.engine.AssignmentEngine`,
 :class:`~repro.service.cache.ScoreMatrixCache`) threads it down to the
-score-matrix kernel.
+cold score-matrix build (:func:`repro.core.delta.built_score_matrix`).
 
 The config deliberately separates two orthogonal levers:
 

@@ -95,10 +95,10 @@ def score_appended_columns(
 ) -> np.ndarray:
     """Score only the appended paper columns of a delta-repaired matrix.
 
-    The delta-maintenance layer (:mod:`repro.core.delta`, the engine's
-    :class:`~repro.service.cache.ScoreMatrixCache`) repairs a resident
-    ``(R, P)`` matrix by scoring just the late papers' columns — ``R * K``
-    cells for ``K`` new papers instead of ``R * (P + K)``.  This is the
+    The delta-maintenance layer (:mod:`repro.core.delta`) carries the
+    problem chain's resident ``(R, P)`` matrix across late papers by
+    scoring just their columns — ``R * K`` cells for ``K`` new papers
+    instead of ``R * (P + K)``.  This is the
     one entry point for that repair: the serial path runs the cache-blocked
     kernel (bitwise-identical to the naive broadcast, and it never
     materialises an ``(R, K, T)`` intermediate larger than a block), and a

@@ -1,26 +1,17 @@
-"""Incrementally maintained pairwise-score cache for the assignment engine.
+"""Per-paper reviewer rankings over the problem chain's score matrix.
 
-The most expensive shared input of every request the engine serves is the
-dense ``(R, P)`` matrix of single-reviewer scores ``c(r, p)``: the solvers,
-the per-paper reviewer shortlists and the candidate-pool pruning of journal
-queries all read it.  Rebuilding it from scratch after every mutation — the
-behaviour of the one-shot batch entry points — costs ``R * P`` scoring
-evaluations even when a single paper arrived.
+The dense ``(R, P)`` matrix of single-reviewer scores ``c(r, p)`` that
+every engine request reads has one owner, the problem chain
+(:meth:`WGRAPProblem.pair_score_matrix
+<repro.core.problem.WGRAPProblem.pair_score_matrix>`): built once, in RAM
+or in the bound store's memmap blocks, then carried across mutations by
+:mod:`repro.core.delta` — one scored column per late paper, one dropped
+row and no re-scoring per withdrawn reviewer.
 
-:class:`ScoreMatrixCache` keeps the matrix resident and repairs it
-incrementally instead:
-
-* a **late paper** appends one column, marked dirty and scored lazily on
-  the next read (``R`` evaluations instead of ``R * P``);
-* a **withdrawn reviewer** deletes one row without any re-scoring at all,
-  because pair scores are independent across reviewers;
-* per-paper **top-k reviewer indexes** (descending score order) are built
-  on demand from the cached columns and invalidated only when the column
-  or the reviewer pool changes.
-
-All scoring work funnels through one helper that counts evaluated cells,
-so tests and benchmarks can assert exactly how much scoring a request
-triggered.
+:class:`ScoreMatrixCache` keeps only what the engine adds on top of the
+matrix: per-paper **top-k reviewer rankings** (descending score order),
+built on demand from the matrix's columns and cleared when a withdrawal
+shifts the rows.
 """
 
 from __future__ import annotations
@@ -30,41 +21,25 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.delta import ViewStats
 from repro.core.problem import ProblemMutation, WGRAPProblem
 from repro.exceptions import ConfigurationError
-from repro.obs.trace import get_tracer
 from repro.parallel.config import ParallelConfig
-from repro.store.blocks import MemmapScoreStore
-
-TRACER = get_tracer()
 
 __all__ = ["CacheStats", "ScoreMatrixCache"]
 
 
 @dataclass
 class CacheStats:
-    """Counters describing how much work the score cache has done.
+    """Counters describing the score-matrix work an engine has seen.
 
     Attributes
     ----------
-    full_builds:
-        Times the whole ``(R, P)`` matrix was materialised (computed from
-        scratch or adopted).
-    adopted_builds:
-        Full builds that reused a matrix the problem had already warmed
-        (no scoring work at all).
-    partial_updates:
-        Times only the dirty columns were repaired (by re-scoring or by
-        adopting delta-maintained columns from the problem).
-    score_calls:
-        Calls into the scoring function's vectorised matrix kernel.
-    scored_cells:
-        Total reviewer/paper cells evaluated (the real unit of work).
+    chain:
+        The problem chain's :class:`~repro.core.delta.ViewStats`, the only
+        writer of ``full_builds`` and ``scored_cells`` (read from there).
     columns_added:
         Paper columns appended by ``add_paper`` mutations.
-    columns_adopted:
-        Dirty columns repaired by adopting the problem's delta-maintained
-        matrix instead of re-scoring (no scoring work at all).
     rows_removed:
         Reviewer rows dropped by ``remove_reviewer`` mutations.
     topk_builds:
@@ -73,27 +48,28 @@ class CacheStats:
         Per-paper reviewer rankings served from cache.
     """
 
-    full_builds: int = 0
-    adopted_builds: int = 0
-    partial_updates: int = 0
-    score_calls: int = 0
-    scored_cells: int = 0
+    chain: ViewStats
     columns_added: int = 0
-    columns_adopted: int = 0
     rows_removed: int = 0
     topk_builds: int = 0
     topk_hits: int = 0
+
+    @property
+    def full_builds(self) -> int:
+        """From-scratch builds of the chain's ``(R, P)`` matrix."""
+        return self.chain.full_builds
+
+    @property
+    def scored_cells(self) -> int:
+        """Reviewer/paper cells scored for the chain's matrix."""
+        return self.chain.scored_cells
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view (for reports and the ``stats`` request)."""
         return {
             "full_builds": self.full_builds,
-            "adopted_builds": self.adopted_builds,
-            "partial_updates": self.partial_updates,
-            "score_calls": self.score_calls,
             "scored_cells": self.scored_cells,
             "columns_added": self.columns_added,
-            "columns_adopted": self.columns_adopted,
             "rows_removed": self.rows_removed,
             "topk_builds": self.topk_builds,
             "topk_hits": self.topk_hits,
@@ -101,169 +77,45 @@ class CacheStats:
 
 
 class ScoreMatrixCache:
-    """A lazily built, incrementally repaired ``(R, P)`` score matrix.
+    """Reviewer rankings kept beside the problem chain's score matrix.
 
-    The cache mirrors the entity order of its problem: row ``i`` is
-    ``problem.reviewers[i]`` and column ``j`` is ``problem.papers[j]``.
-    Mutations keep that alignment — appended papers go last, withdrawn
-    reviewers keep the relative order of the survivors — which is exactly
-    what :meth:`WGRAPProblem.with_additional_paper` and
-    :meth:`WGRAPProblem.without_reviewer` guarantee.
+    Row ``i`` of every ranking is ``problem.reviewers[i]``.  Appended papers
+    go last and withdrawn reviewers keep the relative order of the
+    survivors (what :meth:`WGRAPProblem.with_additional_paper` and
+    :meth:`WGRAPProblem.without_reviewer` guarantee), so a late paper leaves
+    every ranking valid and a withdrawal clears them all.
 
-    When a :class:`~repro.parallel.ParallelConfig` is given, full builds
-    large enough to clear its serial threshold go through the sharded
-    worker-pool kernel of :mod:`repro.parallel.sharding` (bitwise-identical
-    results); single-column repairs stay on the serial path automatically
-    because one column is always below the threshold.
+    When a :class:`~repro.parallel.ParallelConfig` is given, a cold matrix
+    build large enough to clear its serial threshold goes through the
+    sharded worker-pool kernel of :mod:`repro.parallel.sharding`
+    (bitwise-identical results).
     """
 
     def __init__(
-        self,
-        problem: WGRAPProblem,
-        stats: CacheStats | None = None,
-        parallel: ParallelConfig | None = None,
-        storage: "MemmapScoreStore | None" = None,
+        self, problem: WGRAPProblem, parallel: ParallelConfig | None = None
     ) -> None:
         self._problem = problem
         self._parallel = parallel
-        #: optional memmap block backend: the matrix lives on disk, full
-        #: builds go block-by-block (bounded RAM), and row drops rewrite
-        #: into a fresh generation file instead of np.delete in RAM.
-        self._storage = storage
-        self._paper_ids: list[str] = list(problem.paper_ids)
-        self._column_of: dict[str, int] = {
-            paper_id: column for column, paper_id in enumerate(self._paper_ids)
-        }
-        self._matrix: np.ndarray | None = None
-        self._dirty_papers: set[str] = set()
         #: per-paper descending ranking of reviewer rows (row indices)
         self._rankings: dict[str, np.ndarray] = {}
-        self.stats = stats if stats is not None else CacheStats()
+        self.stats = CacheStats(problem.view_stats)
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
     @property
-    def problem(self) -> WGRAPProblem:
-        """The problem instance the cache currently mirrors."""
-        return self._problem
-
-    @property
     def is_built(self) -> bool:
-        """Whether the dense matrix has been materialised at least once."""
-        return self._matrix is not None
-
-    @property
-    def storage(self) -> "MemmapScoreStore | None":
-        """The block backend the matrix lives in (``None`` when in RAM)."""
-        return self._storage
-
-    @property
-    def dirty_papers(self) -> frozenset[str]:
-        """Papers whose column is stale and will be re-scored on next read."""
-        return frozenset(self._dirty_papers)
+        """Whether the problem's score matrix has been materialised."""
+        return self._problem.cached_pair_scores is not None
 
     def matrix(self) -> np.ndarray:
-        """The up-to-date ``(R, P)`` score matrix (read-only view).
-
-        Builds the whole matrix on first use; afterwards only dirty columns
-        are recomputed.  The matrix is shared both ways with the problem's
-        own cache: a matrix some solver already warmed through
-        :meth:`WGRAPProblem.warm_pair_scores` is reused instead of
-        re-scored (``stats.adopted_builds``), and every read seeds the
-        currently bound problem via
-        :meth:`WGRAPProblem.adopt_pair_scores` (a no-op once it holds one,
-        skipped while dirty columns make the shapes disagree), so engine
-        requests that run solvers on the same problem stop
-        re-materialising it.
-        """
-        problem = self._problem
-        if self._matrix is None:
-            with TRACER.span(
-                "cache.full_build",
-                reviewers=problem.num_reviewers,
-                papers=len(self._paper_ids),
-            ) as build_span:
-                warmed = problem.cached_pair_scores
-                if warmed is not None and warmed.shape == (
-                    problem.num_reviewers,
-                    len(self._paper_ids),
-                ):
-                    if self._storage is not None:
-                        # Adoption across mediums is a block copy into the
-                        # mapped file (the zero-copy share only exists in
-                        # RAM), but still no scoring work.
-                        self._matrix = self._storage.write_all(np.asarray(warmed))
-                    else:
-                        # Zero-copy adoption; every later write reallocates
-                        # first (np.delete / placeholder concat), so the
-                        # problem's read-only matrix is never touched.
-                        self._matrix = np.asarray(warmed)
-                    self.stats.adopted_builds += 1
-                    build_span.set(adopted=True)
-                elif self._storage is not None:
-                    # Out-of-core full build: score block-by-block straight
-                    # into the mapped file, so peak RAM is one column block
-                    # and the complete matrix only ever exists on disk.
-                    reviewer_matrix = problem.reviewer_matrix
-                    paper_matrix = problem.paper_matrix
-                    self._matrix = self._storage.build(
-                        problem.num_reviewers,
-                        len(self._paper_ids),
-                        lambda start, stop: self._score_block(
-                            reviewer_matrix, paper_matrix[start:stop]
-                        ),
-                    )
-                else:
-                    self._matrix = self._score_block(
-                        problem.reviewer_matrix, problem.paper_matrix
-                    )
-                self._dirty_papers.clear()
-                self.stats.full_builds += 1
-        elif self._dirty_papers:
-            with TRACER.span(
-                "cache.partial_update", dirty=len(self._dirty_papers)
-            ) as patch_span:
-                columns = sorted(
-                    self._column_of[paper_id] for paper_id in self._dirty_papers
-                )
-                warmed = problem.cached_pair_scores
-                if warmed is not None and warmed.shape == (
-                    problem.num_reviewers,
-                    len(self._paper_ids),
-                ):
-                    # The problem already carries a delta-maintained matrix in
-                    # which these columns are scored (same kernel, bitwise-equal
-                    # — see repro.core.delta.appended_score_column): adopt the
-                    # columns instead of scoring them a second time.
-                    self._matrix[:, columns] = warmed[:, columns]
-                    self.stats.columns_adopted += len(columns)
-                    patch_span.set(adopted=True)
-                else:
-                    block = self._score_block(
-                        problem.reviewer_matrix, problem.paper_matrix[columns]
-                    )
-                    self._matrix[:, columns] = block
-                self._dirty_papers.clear()
-                self.stats.partial_updates += 1
-        if self._matrix.shape == (problem.num_reviewers, problem.num_papers):
-            # Seed the (possibly rebound, post-mutation) problem so solvers
-            # reading pair_score_matrix() afterwards reuse this matrix; a
-            # no-op once the problem holds one.  With a block backend the
-            # problem adopts a read-only *view* of the mapped file instead
-            # of a copy — dense compilation then reads blocks, and the
-            # matrix never has to fit in RAM.
-            problem.adopt_pair_scores(self._matrix, copy=self._storage is None)
-        view = self._matrix.view()
-        view.setflags(write=False)
-        return view
+        """The problem's read-only ``(R, P)`` score matrix, built on first use."""
+        return self._problem.warm_pair_scores(self._parallel)
 
     def scores_for_paper(self, paper_id: str) -> np.ndarray:
         """One column of the matrix: every reviewer's score on ``paper_id``."""
-        try:
-            column = self._column_of[paper_id]
-        except KeyError:
-            raise KeyError(f"unknown paper id: {paper_id!r}") from None
+        # Resolve the id first, so an unknown paper raises before any build.
+        column = self._problem.paper_index(paper_id)
         return self.matrix()[:, column]
 
     def top_reviewers(
@@ -305,129 +157,32 @@ class ScoreMatrixCache:
     # Incremental maintenance
     # ------------------------------------------------------------------
     def apply_mutation(self, mutation: ProblemMutation) -> None:
-        """Repair the cache after a problem mutation event."""
+        """Follow a problem mutation event."""
         if mutation.kind == "add_paper":
-            for paper_id in mutation.papers:
-                self._add_paper_column(mutation.result, paper_id)
-        elif mutation.kind == "remove_reviewer":
-            for reviewer_id in mutation.reviewers:
-                self._remove_reviewer_row(mutation.source, reviewer_id)
             self._problem = mutation.result
+            self.stats.columns_added += len(mutation.papers)
+        elif mutation.kind == "remove_reviewer":
+            self._problem = mutation.result
+            # Every ranking indexes rows, so all of them are stale now.
+            self._rankings.clear()
+            self.stats.rows_removed += len(mutation.reviewers)
         else:  # unknown mutation kinds invalidate everything, conservatively
             self.invalidate(mutation.result)
 
     def invalidate(self, problem: WGRAPProblem | None = None) -> None:
-        """Drop every cached value (optionally rebinding to a new problem)."""
+        """Drop every cached ranking (optionally rebinding to a new problem)."""
         if problem is not None:
             self._problem = problem
-        self._paper_ids = list(self._problem.paper_ids)
-        self._column_of = {
-            paper_id: column for column, paper_id in enumerate(self._paper_ids)
-        }
-        self._matrix = None
-        self._dirty_papers.clear()
         self._rankings.clear()
-
-    def _add_paper_column(self, problem: WGRAPProblem, paper_id: str) -> None:
-        if paper_id in self._column_of:
-            return
-        self._column_of[paper_id] = len(self._paper_ids)
-        self._paper_ids.append(paper_id)
-        self._problem = problem
-        if self._matrix is not None:
-            warmed = problem.cached_pair_scores
-            if warmed is not None and warmed.shape == (
-                problem.num_reviewers,
-                len(self._paper_ids),
-            ):
-                if self._storage is not None:
-                    # The delta layer scored the new column in RAM; write it
-                    # (plus any still-dirty columns the exact warmed matrix
-                    # covers) back into the mapped blocks.  Appends land in
-                    # reserved capacity beyond every older adopted view.
-                    self._matrix = self._storage.append_column(
-                        np.asarray(warmed[:, -1])
-                    )
-                    if self._dirty_papers:
-                        columns = sorted(
-                            self._column_of[dirty] for dirty in self._dirty_papers
-                        )
-                        self._matrix[:, columns] = np.asarray(warmed)[:, columns]
-                else:
-                    # The delta layer already carried the matrix over to the
-                    # derived problem with the new column scored (bitwise-equal
-                    # kernel): share it by reference instead of copying the
-                    # whole matrix for a placeholder.  Later writes (dirty
-                    # repairs, row drops) always allocate a fresh array first,
-                    # so the shared read-only matrix is never mutated.  Any
-                    # leftover dirty columns are covered by the adopted matrix
-                    # (it is exact for *every* column), so they are clean now —
-                    # and must be cleared, or the next read would try to repair
-                    # them in place on the read-only array.
-                    self._matrix = np.asarray(warmed)
-                self.stats.columns_adopted += 1 + len(self._dirty_papers)
-                self._dirty_papers.clear()
-            else:
-                if self._storage is not None:
-                    # Reserve a zeroed on-disk column; scored lazily on read.
-                    self._matrix = self._storage.append_column(None)
-                else:
-                    # Append a placeholder column; scored lazily on next read.
-                    placeholder = np.zeros(
-                        (self._matrix.shape[0], 1), dtype=np.float64
-                    )
-                    self._matrix = np.concatenate([self._matrix, placeholder], axis=1)
-                self._dirty_papers.add(paper_id)
-        self.stats.columns_added += 1
-
-    def _remove_reviewer_row(self, problem: WGRAPProblem, reviewer_id: str) -> None:
-        row = problem.reviewer_index(reviewer_id)
-        if self._matrix is not None:
-            # Pair scores are independent across reviewers, so dropping the
-            # row needs no re-scoring at all.
-            if self._storage is not None:
-                # Blockwise rewrite into a fresh generation file; adopted
-                # views of the old generation stay intact.
-                self._matrix = self._storage.drop_row(row)
-            else:
-                self._matrix = np.delete(self._matrix, row, axis=0)
-        # Every ranking indexes rows, so all of them are stale now.
-        self._rankings.clear()
-        self.stats.rows_removed += 1
-
-    # ------------------------------------------------------------------
-    # Instrumented scoring
-    # ------------------------------------------------------------------
-    def _score_block(
-        self, reviewer_matrix: np.ndarray, paper_matrix: np.ndarray
-    ) -> np.ndarray:
-        """Every scoring evaluation goes through here, so it can be counted."""
-        self.stats.score_calls += 1
-        self.stats.scored_cells += int(reviewer_matrix.shape[0]) * int(
-            paper_matrix.shape[0]
-        )
-        # Pass ``parallel`` only when configured, so serial caches keep the
-        # exact historical call shape (tests and callers wrap score_matrix).
-        if self._parallel is not None:
-            scores = self._problem.scoring.score_matrix(
-                reviewer_matrix, paper_matrix, parallel=self._parallel
-            )
-        else:
-            scores = self._problem.scoring.score_matrix(reviewer_matrix, paper_matrix)
-        return np.array(scores, dtype=np.float64)
 
     def describe(self) -> dict[str, Any]:
         """Summary used by the ``stats`` request of the serving front end."""
-        summary = {
+        return {
             "built": self.is_built,
-            "shape": [self._problem.num_reviewers, len(self._paper_ids)],
-            "dirty_papers": sorted(self._dirty_papers),
+            "shape": [self._problem.num_reviewers, self._problem.num_papers],
             "rankings_cached": len(self._rankings),
             "parallel_workers": (
                 self._parallel.resolved_workers() if self._parallel is not None else 1
             ),
             **self.stats.as_dict(),
         }
-        if self._storage is not None:
-            summary["storage"] = self._storage.describe()
-        return summary

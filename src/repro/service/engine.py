@@ -11,11 +11,11 @@ drop-outs, bid updates).
 :class:`AssignmentEngine` is the resident core that amortises the shared
 work across requests:
 
-* it owns one :class:`~repro.core.problem.WGRAPProblem` and subscribes to
-  its mutation events, so the score cache
-  (:class:`~repro.service.cache.ScoreMatrixCache`) is repaired
-  incrementally — one column per late paper, zero re-scoring per
-  withdrawal — instead of rebuilt;
+* it owns one :class:`~repro.core.problem.WGRAPProblem` chain, whose
+  score matrix is carried across mutations by delta — one scored column
+  per late paper, zero re-scoring per withdrawal — instead of rebuilt,
+  and subscribes to its mutation events so the reviewer rankings of
+  :class:`~repro.service.cache.ScoreMatrixCache` follow the chain;
 * journal queries reuse cached per-paper JRA sub-problems and can prune
   their candidate pool with the cache's top-k reviewer index;
 * conference solves, incremental mutations and evaluation all go through
@@ -226,16 +226,12 @@ class AssignmentEngine:
         self._bids = bids if bids is not None else BidMatrix()
         self._parallel = parallel
         #: optional durable problem store; attached first so its index
-        #: deltas follow the same mutation chain the cache repairs, and
-        #: so entity queries route through the indexed backend.
+        #: deltas follow the same mutation chain, entity queries route
+        #: through the indexed backend and the matrix builds in its blocks.
         self._store = store
         if store is not None:
             store.attach(problem)
-        self._cache = ScoreMatrixCache(
-            problem,
-            parallel=parallel,
-            storage=store.matrix_backend() if store is not None else None,
-        )
+        self._cache = ScoreMatrixCache(problem, parallel=parallel)
         self._jra_cache: dict[tuple[str, int, int | None], JRAProblem] = {}
         #: conflict version the JRA sub-problem cache is valid for
         self._jra_cache_version = problem.conflicts.version
@@ -413,12 +409,6 @@ class AssignmentEngine:
             spec = solver_spec("cra", name)
             instance = spec.factory(**options)
             canonical = spec.name
-        if self._cache.storage is not None:
-            # Out-of-core engines must solve from the mapped blocks: the
-            # cache build seeds the problem with a read-only view of the
-            # block file, so the solver never materialises the full
-            # matrix in RAM (and repairs land in the blocks, not a copy).
-            self._cache.matrix()
         with TRACER.span("engine.solve", solver=canonical) as span:
             result = instance.solve(self._problem)
             span.set(score=round(result.score, 6))
@@ -700,7 +690,7 @@ class AssignmentEngine:
         Staffing never touches existing groups: the new paper gets an exact
         JRA group drawn from the reviewers with spare capacity (this is the
         paper's journal sub-problem applied inside a conference).  The
-        engine's score cache gains one dirty column — the full matrix is
+        problem's score matrix gains one scored column — the full matrix is
         *not* recomputed.
 
         ``pool_size`` restricts the staffing candidates to the top
@@ -817,8 +807,8 @@ class AssignmentEngine:
             staffing = create_solver("jra", solver or self.DEFAULT_JRA_SOLVER)
             group_ids = staffing.solve(jra).reviewer_ids
 
-        # All checks passed; commit the mutation (the listener repairs the
-        # cache by appending one lazy column) and staff the paper.
+        # All checks passed; commit the mutation (the delta layer appends
+        # the paper's scored column to the matrix) and staff the paper.
         mutated = problem.with_additional_paper(
             paper, workload, pair_score_column=pair_score_column
         )
@@ -878,7 +868,7 @@ class AssignmentEngine:
 
         The vacated slots are refilled by the repair pass (a capacitated
         assignment maximising marginal coverage, with augmenting swaps when
-        capacity is tight).  The engine's score cache drops one row — no
+        capacity is tight).  The problem's score matrix drops one row — no
         re-scoring happens at all.  If the remaining pool cannot cover the
         vacated slots the engine state is rolled back before the error
         propagates.
@@ -932,17 +922,12 @@ class AssignmentEngine:
         except Exception:
             # Roll the engine back to the pre-mutation problem — including
             # the revision, counters and row-removal stat the listener
-            # already bumped; the cheap price is a full cache invalidation.
+            # already bumped.  The restored problem still holds its own
+            # score matrix; only the rankings follow it back.
             mutated.remove_mutation_listener(self._listener)
             self._problem = problem
-            stats = self._cache.stats
-            stats.rows_removed -= 1
-            self._cache = ScoreMatrixCache(
-                problem,
-                stats=stats,
-                parallel=self._parallel,
-                storage=self._cache.storage,
-            )
+            self._cache.invalidate(problem)
+            self._cache.stats.rows_removed -= 1
             if self._store is not None:
                 # The store's listener already applied the withdrawal;
                 # re-attaching to the pre-mutation problem rebases it.

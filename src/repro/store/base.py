@@ -159,7 +159,7 @@ class ProblemStore(abc.ABC):
 
     # -- lifecycle ------------------------------------------------------
     def matrix_backend(self) -> "MemmapScoreStore | None":
-        """The block score-matrix backend, or ``None`` for in-RAM caches."""
+        """The memmap blocks to build the chain's score matrix in, or ``None``."""
         return None
 
     @property

@@ -9,19 +9,19 @@ column-major (Fortran-order) ``float64`` file of shape
       scores-000003.bin   # rows * capacity * 8 bytes, column-contiguous
 
 Column-major layout makes a *column* contiguous on disk, which matches
-every access pattern of :class:`repro.service.cache.ScoreMatrixCache`:
-appending a late paper writes one contiguous tail region, repairing a
-dirty column rewrites one contiguous region, and per-paper shortlists
-read one contiguous region.  Capacity grows in blocks of ``block_cols``
-columns so appends amortise to one ``ftruncate`` per block.
+every access pattern of the problem chain's pair-score matrix it backs
+(:func:`repro.core.delta.built_score_matrix`): appending a late paper
+writes one contiguous tail region, and per-paper shortlists read one
+contiguous region.  Capacity grows in blocks of ``block_cols`` columns
+so appends amortise to one ``ftruncate`` per block.
 
 Shape-changing operations (full rebuilds, reviewer-row drops) always
 allocate a **new generation file** instead of rewriting in place: any
-older read-only view some problem adopted keeps mapping the unlinked old
+older read-only view some problem holds keeps mapping the unlinked old
 file, so historical views stay bitwise-intact while the store moves on.
-Same-shape writes (column appends into reserved capacity, dirty-column
-repairs) land beyond the region any older view maps, which is what makes
-zero-copy adoption of the live view safe.
+Column appends land beyond the region any older view of the generation
+maps, which is safe for the live view only
+(:class:`repro.core.delta.ScoreBlocks`).
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class MemmapScoreStore:
 
     The store starts empty (``allocate``/``write_all``/``build`` create
     the first generation) and afterwards supports exactly the mutations
-    the score cache needs: ``append_column``, ``set_column`` (through the
-    writable view), and ``drop_row``.  All block traffic is counted so
+    the delta layer needs: ``append_column`` and ``drop_row`` (plus
+    writes through the writable view).  All block traffic is counted so
     the observability layer can report reads, writes and mapped bytes.
     """
 
@@ -235,7 +235,7 @@ class MemmapScoreStore:
 
         No re-scoring happens (pair scores are independent across rows);
         the cost is one sequential read+write pass over the file.  Older
-        adopted views keep mapping the previous generation untouched.
+        views keep mapping the previous generation untouched.
         """
         if self._map is None:
             raise ConfigurationError("score block store has not been allocated")

@@ -6,14 +6,18 @@ exposed the bug, so the fix cannot silently regress.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.entities import Paper, Reviewer
 from repro.core.problem import WGRAPProblem
 from repro.core.vectors import TopicVector
+from repro.data.synthetic import make_problem
+from repro.exceptions import InfeasibleProblemError
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import create_solver
-from tests.conformance import GRID, apply_chain, cold_clone, make_instance
+from repro.store import SqliteProblemStore
+from tests.conformance import GRID, apply_chain, cold_clone, late_paper, make_instance
 from tests.oracles import LazyHeapGreedy, reference_solver
 
 
@@ -174,3 +178,69 @@ class TestConformanceSweepStaysClean:
         oracle = reference_solver("cra", name).solve(problem)
         assert dense.assignment == oracle.assignment
         assert dense.score == oracle.score
+
+
+def _memmap_backed(array) -> bool:
+    """Whether ``array`` is, or is a view of, an ``np.memmap``."""
+    while isinstance(array, np.ndarray):
+        if isinstance(array, np.memmap):
+            return True
+        array = array.base
+    return False
+
+
+class TestOneScoreMatrix:
+    """The problem chain's matrix is the engine's only score matrix.
+
+    The engine's cache used to keep a second ``(R, P)`` matrix beside the
+    chain's delta-maintained one and reconcile the two.  An out-of-core
+    engine then solved from a full RAM copy after its first late paper
+    (while the blocks were kept up to date beside it), and an in-RAM
+    engine copied the matrix twice per withdrawal and held both copies.
+    """
+
+    def _problem(self):
+        # 6 reviewers x workload 3 = 18 slots for 8 papers x 2; ``_drive``
+        # raises the workload where a step needs more room.
+        return make_problem(8, 6, num_topics=6, group_size=2, reviewer_workload=3, seed=5)
+
+    def _drive(self, engine):
+        """solve, add, solve, withdraw, infeasible withdraw, add: yields after each."""
+        engine.solve("Greedy")
+        yield "solve"
+        engine.add_paper(late_paper(engine.problem, "one-a"), reviewer_workload=4)
+        yield "add_paper"
+        engine.solve("Greedy")
+        yield "solve again"
+        engine.withdraw_reviewer(engine.problem.reviewer_ids[1])
+        yield "withdraw_reviewer"
+        problem = engine.problem
+        with pytest.raises(InfeasibleProblemError):  # 4 x 4 slots < 9 x 2
+            engine.withdraw_reviewer(engine.problem.reviewer_ids[0])
+        assert engine.problem is problem
+        yield "rolled-back withdrawal"
+        engine.add_paper(late_paper(engine.problem, "one-b"), reviewer_workload=5)
+        yield "add_paper again"
+
+    def test_store_engine_keeps_its_matrix_in_the_blocks(self, tmp_path):
+        ram = AssignmentEngine(self._problem())
+        store = SqliteProblemStore.create(
+            tmp_path / "one.db", self._problem(), blocks=True, block_cols=4
+        )
+        blocked = AssignmentEngine.from_store(store)
+        try:
+            for step, _ in zip(self._drive(blocked), self._drive(ram)):
+                matrix = blocked.problem.pair_score_matrix()
+                assert _memmap_backed(matrix), f"RAM-backed after {step}"
+                expected = ram.problem.pair_score_matrix()
+                assert matrix.shape == expected.shape, step
+                assert matrix.tobytes() == expected.tobytes(), step
+        finally:
+            store.close()
+
+    def test_ram_engine_cache_shares_the_problem_matrix(self):
+        engine = AssignmentEngine(self._problem())
+        for step in self._drive(engine):
+            assert np.shares_memory(
+                engine.cache.matrix(), engine.problem.pair_score_matrix()
+            ), f"two matrices after {step}"

@@ -332,12 +332,10 @@ class TestReviewFindings:
         problem = _instance(seed=6)
         engine = AssignmentEngine(problem)
         engine.warm()
-        engine.problem.invalidate_caches()  # cold chain: next add stays dirty
+        engine.problem.invalidate_caches()  # cold chain: next add carries no matrix
         engine.add_paper(_late_paper(engine.problem, "late-a"))
-        assert engine.cache.dirty_papers == {"late-a"}
         engine.solve("Greedy")  # warms the derived problem's pair scores
         engine.add_paper(_late_paper(engine.problem, "late-b"))
-        assert not engine.cache.dirty_papers  # covered by the adopted matrix
         matrix = engine.cache.matrix()  # must not raise
         current = engine.problem
         expected = current.scoring.score_matrix(
@@ -389,6 +387,50 @@ class TestReviewFindings:
         assert result.stats["pruned"] is False
         assert result.stats["prune_certified"] == 0
         assert result.stats["prune_fallbacks"] == 0
+
+
+class TestBranchedChains:
+    """Deriving twice from one parent must not let siblings share columns.
+
+    The chain's pair-score matrix appends in place only while the parent
+    holds the medium's tip (the RAM arena's ``used`` count, or the memmap
+    blocks' live generation and column count); every other derivation
+    copies first.  Each member must still equal a cold recompile.
+    """
+
+    @pytest.mark.parametrize("medium", ["ram", "blocks"])
+    def test_siblings_and_their_parent_stay_exact(self, medium, tmp_path):
+        root = _instance(seed=9)
+        store = None
+        if medium == "blocks":
+            from repro.store import SqliteProblemStore
+
+            store = SqliteProblemStore.create(
+                tmp_path / "branch.db", root, blocks=True, block_cols=4
+            )
+        try:
+            root.warm_pair_scores()
+            parent = root.with_additional_paper(_late_paper(root, "parent"))
+            first = parent.with_additional_paper(_late_paper(parent, "first"))
+            second = parent.with_additional_paper(_late_paper(parent, "second"))
+            first_dropped = first.without_reviewer(first.reviewer_ids[2])
+            parent_dropped = parent.without_reviewer(parent.reviewer_ids[5])
+            members = {
+                "root": root,
+                "parent": parent,
+                "first": first,
+                "second": second,
+                "first_dropped": first_dropped,
+                "parent_dropped": parent_dropped,
+            }
+            for name, member in members.items():
+                expected = _cold_clone(member).pair_score_matrix()
+                matrix = member.pair_score_matrix()
+                assert matrix.shape == expected.shape, name
+                assert matrix.tobytes() == expected.tobytes(), name
+        finally:
+            if store is not None:
+                store.close()
 
 
 class TestJraCacheConflictStaleness:

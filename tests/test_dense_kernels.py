@@ -391,25 +391,27 @@ class TestDenseViewSharing:
         assert np.array_equal(patched.feasible, oracle.feasible)
         assert patched.conflict_version == problem.conflicts.version
 
-    def test_cache_build_seeds_the_problem(self):
+    def test_cache_matrix_is_the_problem_matrix(self):
         problem = _instance(0)
         cache = ScoreMatrixCache(problem)
         matrix = cache.matrix()
         assert problem.cached_pair_scores is not None
-        assert np.array_equal(problem.pair_score_matrix(), matrix)
-        assert cache.stats.adopted_builds == 0
+        assert matrix is problem.pair_score_matrix()
+        assert cache.stats.full_builds == 1
 
-    def test_cache_reuses_a_warmed_problem(self):
+    def test_cache_reuses_a_warmed_problem(self, monkeypatch):
+        from repro.core.scoring import ScoringFunction
+
         problem = _instance(0)
         warmed = problem.warm_pair_scores()
+        calls = []
+        original = ScoringFunction.score_matrix
+
+        def counting(self, reviewer_matrix, paper_matrix, **kwargs):
+            calls.append((reviewer_matrix.shape[0], paper_matrix.shape[0]))
+            return original(self, reviewer_matrix, paper_matrix, **kwargs)
+
+        monkeypatch.setattr(ScoringFunction, "score_matrix", counting)
         cache = ScoreMatrixCache(problem)
         assert np.array_equal(cache.matrix(), warmed)
-        assert cache.stats.adopted_builds == 1
-        assert cache.stats.score_calls == 0
-
-    def test_adopt_rejects_wrong_shape(self):
-        from repro.exceptions import DimensionMismatchError
-
-        problem = _instance(0)
-        with pytest.raises(DimensionMismatchError):
-            problem.adopt_pair_scores(np.zeros((2, 2)))
+        assert calls == []

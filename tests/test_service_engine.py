@@ -135,15 +135,12 @@ class TestScoreCacheInvalidation:
         calls = self._count_scoring_calls(monkeypatch)
         solved_engine.add_paper(_late_paper(solved_engine.problem))
         # The delta layer scores exactly the new column at mutation time;
-        # the cache adopts the carried matrix by reference instead of
-        # re-scoring (or even copying) anything.
+        # the cache reads the problem's matrix instead of re-scoring (or
+        # even copying) anything.
         solved_engine.journal_query("late-submission")
         num_reviewers = solved_engine.problem.num_reviewers
         assert calls == [(num_reviewers, 1)]
         assert solved_engine.cache.stats.full_builds == 1
-        assert solved_engine.cache.stats.columns_adopted == 1
-        assert solved_engine.cache.stats.partial_updates == 0
-        assert not solved_engine.cache.dirty_papers
 
     def test_withdraw_reviewer_scores_nothing(self, monkeypatch, solved_engine):
         solved_engine.warm()
@@ -154,6 +151,30 @@ class TestScoreCacheInvalidation:
         assert calls == []
         assert solved_engine.cache.stats.rows_removed == 1
         assert solved_engine.cache.stats.full_builds == 1
+
+    def test_scored_cells_counts_every_scored_cell(self, monkeypatch):
+        """``scored_cells`` counts the chain's cold build and every late
+        column, whoever scored it (delta layer or pool_size staffing)."""
+        engine = AssignmentEngine(_service_problem())
+        before = engine.stats()["cache"]
+        calls = self._count_scoring_calls(monkeypatch)
+        engine.solve("Greedy")
+        engine.warm()
+        workload = engine.problem.reviewer_workload + 2
+        engine.add_paper(_late_paper(engine.problem, "late-a"), reviewer_workload=workload)
+        engine.add_paper(
+            _late_paper(engine.problem, "late-b"), reviewer_workload=workload, pool_size=3
+        )
+        engine.withdraw_reviewer(engine.problem.reviewer_ids[0])
+        after = engine.stats()["cache"]
+        num_reviewers = engine.problem.num_reviewers + 1  # before the withdrawal
+        num_papers = engine.problem.num_papers - 2  # before the late papers
+        assert calls == [(num_reviewers, num_papers), (num_reviewers, 1), (num_reviewers, 1)]
+        assert after["scored_cells"] - before["scored_cells"] == sum(
+            rows * cols for rows, cols in calls
+        )
+        assert after["full_builds"] == 1
+        assert after["columns_added"] == 2
 
     def test_cache_matrix_stays_correct_after_mutations(self, solved_engine):
         solved_engine.warm()
