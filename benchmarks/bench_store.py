@@ -9,7 +9,8 @@ whole instance into RAM):
 
 * **indexed candidate generation** — top-k reviewer shortlists answered
   from the SQLite inverted topic index (``topic_candidates``) against the
-  historical scan-and-score over the full reviewer pool; shortlists must
+  in-RAM scan-and-score over the full reviewer pool (the
+  ``tests/oracles/store.py`` reference); shortlists must
   agree (the index trades per-query latency for never materialising the
   reviewer matrix in RAM — both latencies are reported);
 * **store-backed churn** — the identical interleaved request stream
@@ -57,7 +58,8 @@ from repro.core.scoring import get_scoring_function
 from repro.core.vectors import TopicVector
 from repro.experiments.reporting import ExperimentTable
 from repro.service.engine import AssignmentEngine
-from repro.store import InMemoryProblemStore, MemmapScoreStore, SqliteProblemStore
+from repro.store import MemmapScoreStore, SqliteProblemStore
+from tests.oracles.store import InMemoryProblemStore
 
 
 def _env_int(name: str, default: int) -> int:

@@ -9,8 +9,8 @@ Reviewer Assignment"* (Kou, U, Mamoulis and Gong, SIGMOD 2015):
 * the Stage Deepening Greedy Algorithm and its stochastic refinement for
   Conference Reviewer Assignment, plus every baseline the paper compares
   against,
-* the substrates those algorithms need (Hungarian / min-cost-flow linear
-  assignment, simplex + branch-and-bound ILP, an Author-Topic-Model
+* the substrates those algorithms need (Hungarian linear assignment,
+  branch-and-bound ILP over SciPy's HiGHS, an Author-Topic-Model
   pipeline, synthetic DBLP-like data),
 * an experiment harness that regenerates every table and figure of the
   paper's evaluation,

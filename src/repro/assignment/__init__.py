@@ -1,9 +1,9 @@
-"""Linear-assignment substrate: Hungarian, min-cost flow and transportation.
+"""Linear-assignment substrate: Hungarian and the capacitated transportation step.
 
-These solvers replace the off-the-shelf Hungarian / network-flow libraries
-used by the paper's C++ implementation.  They are generic (they know
-nothing about reviewers or papers) and are reused by the Stage Deepening
-Greedy Algorithm, the stochastic refinement, and the baselines.
+These solvers replace the off-the-shelf Hungarian library used by the
+paper's C++ implementation.  They are generic (they know nothing about
+reviewers or papers) and are reused by the Stage Deepening Greedy
+Algorithm, the stochastic refinement, the repair pass and the baselines.
 """
 
 from repro.assignment.hungarian import (
@@ -11,7 +11,6 @@ from repro.assignment.hungarian import (
     solve_assignment,
     solve_max_assignment,
 )
-from repro.assignment.min_cost_flow import Edge, FlowResult, MinCostFlowSolver
 from repro.assignment.transportation import (
     CapacitatedAssignmentResult,
     solve_capacitated_assignment,
@@ -21,9 +20,6 @@ __all__ = [
     "AssignmentResult",
     "solve_assignment",
     "solve_max_assignment",
-    "Edge",
-    "FlowResult",
-    "MinCostFlowSolver",
     "CapacitatedAssignmentResult",
     "solve_capacitated_assignment",
 ]

@@ -4,17 +4,10 @@ Definition 9 of the paper asks, at every SDGA stage, for an assignment in
 which *every paper gets exactly one reviewer* and *every reviewer takes at
 most ``ceil(delta_r / delta_p)`` papers*, maximising the stage marginal
 gain.  That is a semi-assignment (transportation) problem.  This module
-solves it with two interchangeable backends:
-
-* ``"hungarian"`` (default): expand each reviewer into as many copies as
-  its per-stage capacity and run the dense Hungarian algorithm — fast and
-  exact for the dense gain matrices produced by the solvers.
-* ``"flow"``: build the equivalent min-cost-flow network and solve it with
-  the successive-shortest-path solver — an independent implementation used
-  for cross-validation and for sparse problems.
-
-Both backends return identical objective values (verified by the tests and
-by ``benchmarks/bench_ablation_assignment_backend.py``).
+solves it exactly by expanding each reviewer into as many copies as its
+per-stage capacity and running the dense Hungarian algorithm.  The test
+suite cross-checks the optimum against an independent min-cost-flow
+reference (``tests/oracles/flow.py``).
 """
 
 from __future__ import annotations
@@ -24,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.assignment.hungarian import solve_max_assignment
-from repro.assignment.min_cost_flow import MinCostFlowSolver
 from repro.exceptions import ConfigurationError, InfeasibleProblemError, SolverError
 
 __all__ = ["CapacitatedAssignmentResult", "solve_capacitated_assignment"]
 
-#: profit assigned to forbidden pairs so the Hungarian backend avoids them
+#: profit assigned to forbidden pairs so the Hungarian algorithm avoids them
 _FORBIDDEN_PENALTY = -1.0e9
 
 
@@ -57,7 +49,6 @@ def solve_capacitated_assignment(
     profit_matrix: np.ndarray,
     column_capacities: np.ndarray,
     forbidden: np.ndarray | None = None,
-    backend: str = "hungarian",
 ) -> CapacitatedAssignmentResult:
     """Assign every row to one column, respecting per-column capacities.
 
@@ -70,8 +61,6 @@ def solve_capacitated_assignment(
     forbidden:
         Optional boolean ``(rows, cols)`` mask; ``True`` marks pairs that
         must not be selected (conflicts of interest).
-    backend:
-        ``"hungarian"`` (dense, default) or ``"flow"``.
 
     Raises
     ------
@@ -102,27 +91,13 @@ def solve_capacitated_assignment(
         if np.any(forbidden.all(axis=1)):
             raise InfeasibleProblemError("some row has every column forbidden")
 
-    if backend == "hungarian":
-        return _solve_with_hungarian(profit, capacities, forbidden)
-    if backend == "flow":
-        return _solve_with_flow(profit, capacities, forbidden)
-    raise ConfigurationError(f"unknown backend {backend!r}; use 'hungarian' or 'flow'")
-
-
-# ----------------------------------------------------------------------
-# Hungarian backend: column expansion
-# ----------------------------------------------------------------------
-def _solve_with_hungarian(
-    profit: np.ndarray, capacities: np.ndarray, forbidden: np.ndarray | None
-) -> CapacitatedAssignmentResult:
-    num_rows, _ = profit.shape
     masked = profit.copy()
     if forbidden is not None:
         masked[forbidden] = _FORBIDDEN_PENALTY
 
     # A column never needs more copies than there are rows.
     copies_per_column = np.minimum(capacities, num_rows)
-    expanded_columns = np.repeat(np.arange(profit.shape[1]), copies_per_column)
+    expanded_columns = np.repeat(np.arange(num_cols), copies_per_column)
     if expanded_columns.size < num_rows:
         raise InfeasibleProblemError(
             "total column capacity is smaller than the number of rows"
@@ -134,7 +109,7 @@ def _solve_with_hungarian(
     total_profit = 0.0
     for row, expanded_col in enumerate(result.row_to_col):
         if expanded_col < 0:
-            raise SolverError("the Hungarian backend left a row unassigned")
+            raise SolverError("the Hungarian algorithm left a row unassigned")
         original_col = int(expanded_columns[expanded_col])
         if forbidden is not None and forbidden[row, original_col]:
             raise InfeasibleProblemError(
@@ -146,56 +121,3 @@ def _solve_with_hungarian(
         row_to_col=tuple(row_to_col), total_profit=total_profit
     )
 
-
-# ----------------------------------------------------------------------
-# Min-cost-flow backend
-# ----------------------------------------------------------------------
-def _solve_with_flow(
-    profit: np.ndarray, capacities: np.ndarray, forbidden: np.ndarray | None
-) -> CapacitatedAssignmentResult:
-    num_rows, num_cols = profit.shape
-    source = 0
-    row_offset = 1
-    col_offset = 1 + num_rows
-    sink = 1 + num_rows + num_cols
-    solver = MinCostFlowSolver(num_nodes=sink + 1)
-
-    for row in range(num_rows):
-        solver.add_edge(source, row_offset + row, capacity=1.0, cost=0.0)
-
-    pair_handles: dict[int, tuple[int, int]] = {}
-    for row in range(num_rows):
-        for col in range(num_cols):
-            if forbidden is not None and forbidden[row, col]:
-                continue
-            handle = solver.add_edge(
-                row_offset + row,
-                col_offset + col,
-                capacity=1.0,
-                cost=-float(profit[row, col]),
-            )
-            pair_handles[handle] = (row, col)
-
-    for col in range(num_cols):
-        solver.add_edge(
-            col_offset + col, sink, capacity=float(capacities[col]), cost=0.0
-        )
-
-    try:
-        flow = solver.solve(source, sink, required_flow=float(num_rows))
-    except SolverError as error:
-        raise InfeasibleProblemError(
-            "no feasible assignment exists under the given capacities and conflicts"
-        ) from error
-
-    row_to_col = np.full(num_rows, -1, dtype=np.int64)
-    total_profit = 0.0
-    for handle, (row, col) in pair_handles.items():
-        if flow.edge_flows.get(handle, 0.0) > 0.5:
-            row_to_col[row] = col
-            total_profit += float(profit[row, col])
-    if np.any(row_to_col < 0):
-        raise SolverError("the flow backend left a row unassigned")
-    return CapacitatedAssignmentResult(
-        row_to_col=tuple(int(col) for col in row_to_col), total_profit=total_profit
-    )

@@ -199,7 +199,8 @@ def built_score_matrix(
     options = {} if parallel is None else {"parallel": parallel}
     score = partial(problem.scoring.score_matrix, problem.reviewer_matrix, **options)
     with TRACER.span("cache.full_build", reviewers=num_reviewers, papers=num_papers):
-        blocks = problem.entity_store.matrix_backend()
+        store = problem.entity_store
+        blocks = None if store is None else store.matrix_backend()
         if blocks is None:
             scores, medium = score(papers), None
             scores.setflags(write=False)

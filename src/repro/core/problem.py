@@ -200,8 +200,7 @@ class WGRAPProblem:
         #: ``_pair_scores``' medium: ``ScoreArena``, ``ScoreBlocks`` or ``None``
         self._pair_medium = None
         self._dense_view: "DenseProblem | None" = None
-        #: bound storage backend answering entity/candidate queries, or
-        #: ``None`` until one is bound / lazily defaulted to the in-RAM one
+        #: bound store answering entity/candidate queries, or ``None``
         self._entity_store: "ProblemStore | None" = None
         self._mutation_listeners: list[MutationListener] = []
         self._papers_version = 0
@@ -457,14 +456,17 @@ class WGRAPProblem:
         return not self._conflicts.is_conflict(reviewer_id, paper_id)
 
     def candidate_reviewers(self, paper_id: str) -> list[str]:
-        """Reviewer ids that may review ``paper_id`` (COIs removed).
+        """Reviewer ids that may review ``paper_id`` (COIs removed), in problem order.
 
-        Entity access goes through the bound store handle: the in-RAM
-        backend runs the historical scan, the SQLite backend answers the
-        same question as an indexed anti-join — identical output either
-        way (pinned by the store conformance grid).
+        A bound store answers as an indexed anti-join; without one the
+        problem scans its own reviewers — identical output either way
+        (pinned by the store conformance grid).
         """
-        return self.entity_store.candidate_reviewers(paper_id)
+        store = self.entity_store
+        if store is not None:
+            return store.candidate_reviewers(paper_id)
+        forbidden = self._conflicts.reviewers_conflicting_with(paper_id)
+        return [rid for rid in self.reviewer_ids if rid not in forbidden]
 
     def _validate_capacity(self) -> None:
         if not self._constraints.is_satisfiable(self.num_reviewers, self.num_papers):
@@ -581,25 +583,19 @@ class WGRAPProblem:
     # Storage handles
     # ------------------------------------------------------------------
     @property
-    def entity_store(self) -> "ProblemStore":
-        """The storage backend answering this problem's entity queries.
+    def entity_store(self) -> "ProblemStore | None":
+        """The bound store that tracks this problem, or ``None``.
 
-        Defaults to the in-RAM store (the historical path, extracted);
-        a persistent backend binds itself here through
-        :meth:`bind_entity_store` when it loads or tracks the problem.  A
-        bound store is only consulted while it still tracks *this*
-        instance — after a mutation rebinds it to the derived problem,
-        queries against this one fall back to the in-RAM handle, so an
-        older chain member never reads newer state.
+        A persistent store binds itself here through
+        :meth:`bind_entity_store` when it loads or tracks the problem.  It
+        is only consulted while it still tracks *this* instance — after a
+        mutation rebinds it to the derived problem, this one answers from
+        its own entities, so an older chain member never reads newer state.
         """
         store = self._entity_store
         if store is not None and store.tracks(self):
             return store
-        from repro.store.memory import InMemoryProblemStore
-
-        store = InMemoryProblemStore(self)
-        self._entity_store = store
-        return store
+        return None
 
     def bind_entity_store(self, store: "ProblemStore") -> None:
         """Route entity/candidate queries through ``store`` (see above)."""

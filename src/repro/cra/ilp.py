@@ -9,13 +9,11 @@ interdisciplinary paper a group of narrow experts.
 The constraint matrix of this formulation is the incidence matrix of a
 bipartite graph (plus identity rows for the pair bounds), which is totally
 unimodular; the LP relaxation therefore has an integral optimal vertex, and
-we obtain the exact ILP optimum with a plain LP solve.  Two backends are
-available:
-
-* ``"highs"`` (default): SciPy's HiGHS simplex — the stand-in for the
-  ``lp_solve`` library used by the paper.
-* ``"flow"``: our own min-cost-flow solver, usable on small instances and
-  for cross-validation.
+we obtain the exact ILP optimum with a plain LP solve.  The LP goes to
+SciPy's HiGHS simplex, the stand-in for the ``lp_solve`` library used by
+the paper (imported inside the solve, so importing this module stays
+SciPy-free).  The test suite cross-checks the objective value against a
+min-cost-flow reference (``tests/oracles/flow.py``).
 """
 
 from __future__ import annotations
@@ -24,12 +22,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.assignment.min_cost_flow import MinCostFlowSolver
 from repro.core.assignment import Assignment
 from repro.core.problem import WGRAPProblem
 from repro.cra.base import CRASolver
 from repro.cra.repair import complete_assignment
-from repro.exceptions import ConfigurationError, SolverError
+from repro.exceptions import SolverError
 
 __all__ = ["PairwiseILPSolver"]
 
@@ -39,16 +36,8 @@ class PairwiseILPSolver(CRASolver):
 
     name = "ILP"
 
-    def __init__(self, backend: str = "highs") -> None:
-        if backend not in {"highs", "flow"}:
-            raise ConfigurationError(f"unknown backend {backend!r}; use 'highs' or 'flow'")
-        self._backend = backend
-
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
-        if self._backend == "flow":
-            assignment, stats = self._solve_with_flow(problem)
-        else:
-            assignment, stats = self._solve_with_highs(problem)
+        assignment, stats = self._solve_lp(problem)
         if any(
             assignment.group_size(paper_id) < problem.group_size
             for paper_id in problem.paper_ids
@@ -60,7 +49,7 @@ class PairwiseILPSolver(CRASolver):
     # ------------------------------------------------------------------
     # HiGHS (LP with an integral optimal vertex)
     # ------------------------------------------------------------------
-    def _solve_with_highs(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
+    def _solve_lp(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         from scipy.optimize import linprog
         from scipy.sparse import lil_matrix
 
@@ -110,7 +99,6 @@ class PairwiseILPSolver(CRASolver):
         values = np.asarray(result.x).reshape(num_reviewers, num_papers)
         assignment = self._round_solution(problem, values)
         return assignment, {
-            "backend": "highs",
             "lp_objective": float(-result.fun),
             "max_fractionality": float(np.abs(values - np.round(values)).max()),
         }
@@ -140,50 +128,3 @@ class PairwiseILPSolver(CRASolver):
                 assignment.add(reviewer_id, paper_id)
                 taken += 1
         return assignment
-
-    # ------------------------------------------------------------------
-    # Min-cost-flow backend (small instances, cross-validation)
-    # ------------------------------------------------------------------
-    def _solve_with_flow(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
-        scores = problem.pair_score_matrix()
-        num_reviewers, num_papers = scores.shape
-        source = 0
-        paper_offset = 1
-        reviewer_offset = 1 + num_papers
-        sink = 1 + num_papers + num_reviewers
-        solver = MinCostFlowSolver(num_nodes=sink + 1)
-
-        for paper_idx in range(num_papers):
-            solver.add_edge(
-                source, paper_offset + paper_idx, capacity=float(problem.group_size), cost=0.0
-            )
-        pair_handles: dict[int, tuple[int, int]] = {}
-        for paper_idx, paper_id in enumerate(problem.paper_ids):
-            for reviewer_idx, reviewer_id in enumerate(problem.reviewer_ids):
-                if not problem.is_feasible_pair(reviewer_id, paper_id):
-                    continue
-                handle = solver.add_edge(
-                    paper_offset + paper_idx,
-                    reviewer_offset + reviewer_idx,
-                    capacity=1.0,
-                    cost=-float(scores[reviewer_idx, paper_idx]),
-                )
-                pair_handles[handle] = (reviewer_idx, paper_idx)
-        for reviewer_idx in range(num_reviewers):
-            solver.add_edge(
-                reviewer_offset + reviewer_idx,
-                sink,
-                capacity=float(problem.reviewer_workload),
-                cost=0.0,
-            )
-
-        flow = solver.solve(
-            source, sink, required_flow=float(num_papers * problem.group_size)
-        )
-        assignment = Assignment()
-        for handle, (reviewer_idx, paper_idx) in pair_handles.items():
-            if flow.edge_flows.get(handle, 0.0) > 0.5:
-                assignment.add(
-                    problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx]
-                )
-        return assignment, {"backend": "flow", "flow_cost": flow.total_cost}

@@ -44,11 +44,7 @@ from repro.exceptions import InfeasibleProblemError
 __all__ = ["complete_assignment", "RefillRepairSolver"]
 
 
-def complete_assignment(
-    problem: WGRAPProblem,
-    assignment: Assignment,
-    backend: str = "hungarian",
-) -> Assignment:
+def complete_assignment(problem: WGRAPProblem, assignment: Assignment) -> Assignment:
     """Fill every under-staffed paper up to ``delta_p`` reviewers.
 
     Raises
@@ -95,7 +91,7 @@ def complete_assignment(
             continue  # loads changed; rebuild the refill inputs
 
         result = solve_capacitated_assignment(
-            gains, np.maximum(capacities, 0), forbidden=forbidden, backend=backend
+            gains, np.maximum(capacities, 0), forbidden=forbidden
         )
         for row, paper_id in enumerate(missing):
             completed.add(problem.reviewer_ids[result.row_to_col[row]], paper_id)
@@ -139,13 +135,14 @@ def _refill_inputs(
 def _resolve_deadlock(
     problem: WGRAPProblem, assignment: Assignment, paper_id: str
 ) -> bool:
-    """Free a slot for ``paper_id`` with one augmenting swap.
+    """Free a slot for ``paper_id`` with one augmenting swap, else a chain.
 
     A reviewer ``r`` with spare capacity (necessarily already in the paper's
-    group) is added to some *other* paper ``q``, and in exchange one of
-    ``q``'s reviewers ``s`` moves into ``paper_id``.  Loads and group sizes
-    of everyone except the short paper stay unchanged, so the swap is always
-    constraint-preserving.
+    group, or conflicted with it) is added to some *other* paper ``q``, and
+    in exchange one of ``q``'s reviewers ``s`` moves into ``paper_id``.
+    Loads and group sizes of everyone except the short paper stay
+    unchanged, so the swap is always constraint-preserving.  When no single
+    swap exists, :func:`_resolve_by_chain` looks for a longer one.
     """
     group = assignment.reviewers_of(paper_id)
     spare_reviewers = [
@@ -169,6 +166,52 @@ def _resolve_deadlock(
                 assignment.add(candidate, paper_id)
                 assignment.add(spare, other_paper)
                 return True
+    return _resolve_by_chain(problem, assignment, paper_id, spare_reviewers)
+
+
+def _resolve_by_chain(
+    problem: WGRAPProblem,
+    assignment: Assignment,
+    paper_id: str,
+    spare_reviewers: list[str],
+) -> bool:
+    """Free a slot for ``paper_id`` along the shortest chain of moves.
+
+    ``paper_id`` takes a member of paper ``q1``, ``q1`` takes a member of
+    ``q2``, ..., and the last paper takes a reviewer with spare capacity.
+    Each paper on the chain gives and takes one reviewer, so only the
+    spare reviewer's load and ``paper_id``'s group size change.  The
+    search is breadth-first over papers; every move is checked against
+    the groups before the chain is applied, which is sound because a paper
+    never takes the reviewer it gives away.
+    """
+    #: giver -> (the paper it gives to, the reviewer it gives)
+    gives_to: dict[str, tuple[str, str] | None] = {paper_id: None}
+    frontier = [paper_id]
+    while frontier:
+        next_frontier: list[str] = []
+        for taker in frontier:
+            group = assignment.reviewers_of(taker)
+            if taker != paper_id:
+                for spare in spare_reviewers:
+                    if spare in group or not problem.is_feasible_pair(spare, taker):
+                        continue
+                    assignment.add(spare, taker)
+                    while (link := gives_to[taker]) is not None:
+                        receiver, moved = link
+                        assignment.remove(moved, taker)
+                        assignment.add(moved, receiver)
+                        taker = receiver
+                    return True
+            for giver in problem.paper_ids:
+                if giver in gives_to:
+                    continue
+                for moved in sorted(assignment.reviewers_of(giver)):
+                    if moved not in group and problem.is_feasible_pair(moved, taker):
+                        gives_to[giver] = (taker, moved)
+                        next_frontier.append(giver)
+                        break
+        frontier = next_frontier
     return False
 
 
@@ -181,18 +224,10 @@ class RefillRepairSolver(CRASolver):
     useful ablation baseline — and puts :func:`complete_assignment`, the
     path every constructive solver falls back on, under direct
     conformance coverage.
-
-    Parameters
-    ----------
-    backend:
-        Assignment backend for each refill round.
     """
 
     name = "Repair"
 
-    def __init__(self, backend: str = "hungarian") -> None:
-        self._backend = backend
-
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
-        assignment = complete_assignment(problem, Assignment(), backend=self._backend)
-        return assignment, {"backend": self._backend, "rounds": problem.group_size}
+        assignment = complete_assignment(problem, Assignment())
+        return assignment, {"rounds": problem.group_size}

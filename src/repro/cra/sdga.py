@@ -12,10 +12,8 @@ Solving every stage optimally yields the paper's approximation guarantee:
 ``delta_r`` (Theorem 1) and at least ``1/2`` otherwise (Theorem 2) — a
 substantial improvement over the 1/3 guarantee of the pair-greedy baseline.
 
-The per-stage assignment can be solved by either the Hungarian backend
-(default, dense) or the min-cost-flow backend; both are exact, so the
-choice does not affect the result, only the running time (see the backend
-ablation benchmark).
+Each stage is solved exactly by the Hungarian column expansion of
+:func:`~repro.assignment.transportation.solve_capacitated_assignment`.
 """
 
 from __future__ import annotations
@@ -28,6 +26,8 @@ from repro.assignment.transportation import solve_capacitated_assignment
 from repro.core.assignment import Assignment
 from repro.core.problem import WGRAPProblem
 from repro.cra.base import CRASolver
+from repro.cra.repair import complete_assignment
+from repro.exceptions import InfeasibleProblemError
 from repro.obs.trace import get_tracer
 
 TRACER = get_tracer()
@@ -36,33 +36,27 @@ __all__ = ["StageDeepeningGreedySolver"]
 
 
 class StageDeepeningGreedySolver(CRASolver):
-    """The paper's SDGA: ``delta_p`` optimal one-reviewer-per-paper stages.
-
-    Parameters
-    ----------
-    backend:
-        ``"hungarian"`` (default) or ``"flow"`` — which exact assignment
-        solver handles each stage.
-    """
+    """The paper's SDGA: ``delta_p`` optimal one-reviewer-per-paper stages."""
 
     name = "SDGA"
-
-    def __init__(self, backend: str = "hungarian") -> None:
-        self._backend = backend
 
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         assignment = Assignment()
         stage_gains: list[float] = []
-        for stage in range(problem.group_size):
-            with TRACER.span("sdga.stage", stage=stage) as stage_span:
-                gain = self._run_stage(problem, assignment)
-                stage_span.set(gain=round(gain, 6))
-            stage_gains.append(gain)
-        return assignment, {
-            "stages": problem.group_size,
-            "stage_gains": stage_gains,
-            "backend": self._backend,
-        }
+        stats: dict[str, Any] = {"stages": problem.group_size, "stage_gains": stage_gains}
+        try:
+            for stage in range(problem.group_size):
+                with TRACER.span("sdga.stage", stage=stage) as stage_span:
+                    gain = self._run_stage(problem, assignment)
+                    stage_span.set(gain=round(gain, 6))
+                stage_gains.append(gain)
+        except InfeasibleProblemError:
+            # Stages never revisit earlier choices, so under conflicts an
+            # earlier stage can leave a paper whose every feasible reviewer
+            # is full; the repair pass's swaps complete the assignment.
+            assignment = complete_assignment(problem, assignment)
+            stats["repaired"] = True
+        return assignment, stats
 
     # ------------------------------------------------------------------
     # One Stage-WGRAP step
@@ -70,9 +64,7 @@ class StageDeepeningGreedySolver(CRASolver):
     def _run_stage(self, problem: WGRAPProblem, assignment: Assignment) -> float:
         """Assign one more reviewer to every paper, in place; returns the gain."""
         gains, forbidden, capacities = self._stage_inputs(problem, assignment)
-        result = solve_capacitated_assignment(
-            gains, capacities, forbidden=forbidden, backend=self._backend
-        )
+        result = solve_capacitated_assignment(gains, capacities, forbidden=forbidden)
         for paper_idx, reviewer_idx in enumerate(result.row_to_col):
             assignment.add(
                 problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx]

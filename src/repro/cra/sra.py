@@ -66,8 +66,6 @@ class StochasticRefiner:
     time_budget:
         Optional wall-clock budget in seconds (used by the Figure 12
         experiment, which plots quality against refinement time).
-    backend:
-        Assignment backend for the refill step (``"hungarian"`` or ``"flow"``).
     seed:
         Seed of the pseudo-random generator driving the removals.
     probability_model:
@@ -88,7 +86,6 @@ class StochasticRefiner:
         decay: float = 0.05,
         max_rounds: int = 1000,
         time_budget: float | None = None,
-        backend: str = "hungarian",
         seed: int | None = 0,
         probability_model: str = "decayed",
     ) -> None:
@@ -106,7 +103,6 @@ class StochasticRefiner:
         self._decay = decay
         self._max_rounds = max_rounds
         self._time_budget = time_budget
-        self._backend = backend
         self._seed = seed
         self._probability_model = probability_model
 
@@ -238,9 +234,7 @@ class StochasticRefiner:
     def _refill(self, problem: WGRAPProblem, assignment: Assignment) -> None:
         """One Stage-WGRAP step that gives every paper one reviewer back."""
         gains, forbidden, capacities = self._refill_inputs(problem, assignment)
-        result = solve_capacitated_assignment(
-            gains, capacities, forbidden=forbidden, backend=self._backend
-        )
+        result = solve_capacitated_assignment(gains, capacities, forbidden=forbidden)
         for paper_idx, reviewer_idx in enumerate(result.row_to_col):
             assignment.add(problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx])
 

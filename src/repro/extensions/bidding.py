@@ -38,8 +38,9 @@ from repro.assignment.transportation import solve_capacitated_assignment
 from repro.core.assignment import Assignment
 from repro.core.problem import WGRAPProblem
 from repro.cra.base import CRASolver
+from repro.cra.repair import complete_assignment
 from repro.cra.sdga import StageDeepeningGreedySolver
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, InfeasibleProblemError
 
 __all__ = [
     "BidLevel",
@@ -220,8 +221,6 @@ class BidAwareSDGASolver(CRASolver):
         The combined objective; omitted (or with an empty bid matrix) the
         bid term vanishes and the solve degenerates to plain SDGA on the
         same stage problems.
-    backend:
-        Assignment backend for the per-stage matchings.
     """
 
     name = "Bid-SDGA"
@@ -229,31 +228,32 @@ class BidAwareSDGASolver(CRASolver):
     #: SDGA's per-stage coverage inputs; the modular bid term is added on top
     _stage_inputs = staticmethod(StageDeepeningGreedySolver._stage_inputs)
 
-    def __init__(
-        self,
-        objective: BidAwareObjective | None = None,
-        backend: str = "hungarian",
-    ) -> None:
+    def __init__(self, objective: BidAwareObjective | None = None) -> None:
         self._objective = (
             objective if objective is not None else BidAwareObjective(bids=BidMatrix())
         )
-        self._backend = backend
 
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         assignment = Assignment()
         bid_matrix = self._objective.bids.dense(problem)  # (P, R)
         tradeoff = self._objective.tradeoff
 
-        for _ in range(problem.group_size):
-            gains, forbidden, capacities = self._stage_inputs(problem, assignment)
-            combined = gains + tradeoff * bid_matrix
-            result = solve_capacitated_assignment(
-                combined, capacities, forbidden=forbidden, backend=self._backend
-            )
-            for paper_idx, reviewer_idx in enumerate(result.row_to_col):
-                assignment.add(
-                    problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx]
+        repaired = False
+        try:
+            for _ in range(problem.group_size):
+                gains, forbidden, capacities = self._stage_inputs(problem, assignment)
+                combined = gains + tradeoff * bid_matrix
+                result = solve_capacitated_assignment(
+                    combined, capacities, forbidden=forbidden
                 )
+                for paper_idx, reviewer_idx in enumerate(result.row_to_col):
+                    assignment.add(
+                        problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx]
+                    )
+        except InfeasibleProblemError:
+            # As in SDGA: an earlier stage can strand a paper under conflicts.
+            assignment = complete_assignment(problem, assignment)
+            repaired = True
 
         stats: dict[str, Any] = {
             "tradeoff": tradeoff,
@@ -261,6 +261,8 @@ class BidAwareSDGASolver(CRASolver):
             "bid_component": self._objective.bid_component(assignment),
             "bid_satisfaction": bid_satisfaction(assignment, self._objective.bids),
         }
+        if repaired:
+            stats["repaired"] = True
         return assignment, stats
 
 

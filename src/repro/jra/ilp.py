@@ -2,8 +2,7 @@
 
 The paper's second exact baseline formulates JRA as an ILP and solves it
 with ``lp_solve``.  We reproduce the formulation and solve it with the
-branch-and-bound driver of :mod:`repro.optimize` (own simplex or SciPy
-HiGHS relaxations).
+branch-and-bound driver of :mod:`repro.optimize` (HiGHS relaxations).
 
 Formulation
 -----------
@@ -51,9 +50,6 @@ class ILPSolver(JRASolver):
 
     Parameters
     ----------
-    backend:
-        Relaxation backend passed to the branch-and-bound driver
-        (``"auto"``, ``"simplex"`` or ``"highs"``).
     node_limit, time_limit:
         Search budget; when exhausted the best incumbent found so far is
         returned and the result is flagged as not proven optimal.
@@ -61,13 +57,7 @@ class ILPSolver(JRASolver):
 
     name = "ILP"
 
-    def __init__(
-        self,
-        backend: str = "auto",
-        node_limit: int = 50_000,
-        time_limit: float | None = None,
-    ) -> None:
-        self._backend = backend
+    def __init__(self, node_limit: int = 50_000, time_limit: float | None = None) -> None:
         self._node_limit = node_limit
         self._time_limit = time_limit
 
@@ -123,11 +113,7 @@ class ILPSolver(JRASolver):
         builder.set_objective({index: 1.0 for index in achieved})
         program = builder.build()
 
-        driver = ILPDriver(
-            backend=self._backend,
-            node_limit=self._node_limit,
-            time_limit=self._time_limit,
-        )
+        driver = ILPDriver(node_limit=self._node_limit, time_limit=self._time_limit)
         solution = driver.solve(program)
 
         selected = [
@@ -145,7 +131,6 @@ class ILPSolver(JRASolver):
         score = problem.group_score(reviewer_ids)
         stats: dict[str, Any] = {
             "nodes_explored": solution.nodes_explored,
-            "backend": driver.backend,
             "objective_numerator": solution.objective,
         }
         if denominator > 0.0:

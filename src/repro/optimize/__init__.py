@@ -1,4 +1,4 @@
-"""LP / ILP substrate: model builder, simplex solver and branch-and-bound.
+"""LP / ILP substrate: model builder and branch-and-bound over HiGHS.
 
 These replace the third-party ``lp_solve`` library used by the paper's ILP
 baselines.  They are generic optimisation tools; the reviewer-assignment
@@ -7,7 +7,6 @@ formulations live in :mod:`repro.jra.ilp` and :mod:`repro.cra.ilp`.
 
 from repro.optimize.branch_and_bound import BranchAndBoundSolver, ILPSolution
 from repro.optimize.model import LinearProgram, ModelBuilder, Sense
-from repro.optimize.simplex import LPSolution, solve_linear_program
 
 __all__ = [
     "BranchAndBoundSolver",
@@ -15,6 +14,4 @@ __all__ = [
     "LinearProgram",
     "ModelBuilder",
     "Sense",
-    "LPSolution",
-    "solve_linear_program",
 ]

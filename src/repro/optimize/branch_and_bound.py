@@ -1,20 +1,13 @@
 """Branch-and-bound for 0-1 mixed-integer programs.
 
-Together with :mod:`repro.optimize.simplex` this replaces the ``lp_solve``
-library the paper used for its ILP baselines.  The driver explores a
-best-bound search tree, solving the LP relaxation at each node and
-branching on the most fractional binary variable.
-
-Two relaxation backends are available:
-
-* ``"simplex"`` — the self-contained dense simplex of this package.
-* ``"highs"`` — SciPy's HiGHS interior-point/simplex via
-  ``scipy.optimize.linprog``, useful for the larger relaxations of the JRA
-  ILP formulation.  SciPy plays the role of the third-party LP library the
-  original authors used.
-
-``backend="auto"`` (default) picks HiGHS when SciPy is importable and falls
-back to the built-in simplex otherwise.
+This replaces the ``lp_solve`` library the paper used for its ILP
+baselines.  The driver explores a best-bound search tree, solving the LP
+relaxation at each node with SciPy's HiGHS (``scipy.optimize.linprog``,
+the stand-in for the third-party LP library the original authors used)
+and branching on the most fractional binary variable.  SciPy is imported
+inside the relaxation solve, so importing this module stays SciPy-free.
+The test suite cross-checks the driver against a dense two-phase simplex
+reference (``tests/oracles/simplex.py``).
 """
 
 from __future__ import annotations
@@ -24,14 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exceptions import (
-    ConfigurationError,
-    InfeasibleLinearProgramError,
-    SolverError,
-    UnboundedProblemError,
-)
+from repro.exceptions import InfeasibleLinearProgramError
 from repro.optimize.model import LinearProgram
-from repro.optimize.simplex import solve_linear_program
 
 __all__ = ["ILPSolution", "BranchAndBoundSolver"]
 
@@ -73,8 +60,6 @@ class BranchAndBoundSolver:
 
     Parameters
     ----------
-    backend:
-        ``"auto"`` (default), ``"simplex"`` or ``"highs"``.
     node_limit:
         Maximum number of relaxations to solve before giving up and
         returning the incumbent.
@@ -82,34 +67,9 @@ class BranchAndBoundSolver:
         Wall-clock budget in seconds (``None`` for unlimited).
     """
 
-    def __init__(
-        self,
-        backend: str = "auto",
-        node_limit: int = 100_000,
-        time_limit: float | None = None,
-    ) -> None:
-        if backend not in {"auto", "simplex", "highs"}:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; use 'auto', 'simplex' or 'highs'"
-            )
-        self._backend = self._resolve_backend(backend)
+    def __init__(self, node_limit: int = 100_000, time_limit: float | None = None) -> None:
         self._node_limit = node_limit
         self._time_limit = time_limit
-
-    @staticmethod
-    def _resolve_backend(backend: str) -> str:
-        if backend != "auto":
-            return backend
-        try:
-            import scipy.optimize  # noqa: F401
-        except ImportError:  # pragma: no cover - scipy is installed in CI
-            return "simplex"
-        return "highs"
-
-    @property
-    def backend(self) -> str:
-        """The relaxation backend actually in use."""
-        return self._backend
 
     # ------------------------------------------------------------------
     # Public API
@@ -199,24 +159,11 @@ class BranchAndBoundSolver:
             integer_mask=program.integer_mask,
             variable_names=program.variable_names,
         )
-        if self._backend == "highs":
-            return self._solve_with_highs(restricted)
-        return self._solve_with_simplex(restricted)
+        return self._solve_lp(restricted)
 
     @staticmethod
-    def _solve_with_simplex(program: LinearProgram) -> tuple[np.ndarray, float] | None:
-        try:
-            solution = solve_linear_program(program)
-        except InfeasibleLinearProgramError:
-            return None
-        except UnboundedProblemError as error:
-            raise SolverError(
-                "the LP relaxation is unbounded; 0-1 programs must have bounded objectives"
-            ) from error
-        return solution.values, solution.objective
-
-    @staticmethod
-    def _solve_with_highs(program: LinearProgram) -> tuple[np.ndarray, float] | None:
+    def _solve_lp(program: LinearProgram) -> tuple[np.ndarray, float] | None:
+        """HiGHS optimum ``(values, objective)`` of ``program``; None if none."""
         from scipy.optimize import linprog
 
         bounds = [

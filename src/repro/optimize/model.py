@@ -4,9 +4,8 @@ The ILP baselines of the paper (Section 3 for JRA, Section 5.2 for CRA)
 need a way to phrase "maximise a linear objective subject to linear
 constraints, some variables binary".  :class:`ModelBuilder` collects
 variables, constraints and an objective, and produces a
-:class:`LinearProgram` value object that the solvers in
-:mod:`repro.optimize.simplex` and :mod:`repro.optimize.branch_and_bound`
-consume.
+:class:`LinearProgram` value object that the branch-and-bound driver of
+:mod:`repro.optimize.branch_and_bound` consumes.
 """
 
 from __future__ import annotations

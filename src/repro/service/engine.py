@@ -1021,20 +1021,23 @@ class AssignmentEngine:
         ``CacheStats`` and ``ViewStats`` stay the single source of truth
         (solvers and the delta layer keep bumping them directly); at
         export time their values land in the registry as ``cache.*`` /
-        ``delta.*`` gauges so one namespace carries everything.
+        ``delta.*`` gauges so one namespace carries everything.  Only a
+        bound store adds ``store.*`` gauges; a store-less engine has none.
         """
         for key, value in self._cache.stats.as_dict().items():
             self._registry.gauge(f"cache.{key}").set(value)
         for key, value in self._problem.view_stats.as_dict().items():
             self._registry.gauge(f"delta.{key}").set(value)
-        store = self._store if self._store is not None else self._problem.entity_store
+        store = self._store
+        if store is None:
+            return
         for key, value in store.describe().items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue  # skip kind/path/meta/indexes — gauges are scalars
             self._registry.gauge(f"store.{key}").set(value)
-        backend = store.matrix_backend()
-        if backend is not None:
-            for key, value in backend.describe().items():
+        blocks = store.matrix_backend()
+        if blocks is not None:
+            for key, value in blocks.describe().items():
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     continue
                 self._registry.gauge(f"store.blocks_{key}").set(value)
@@ -1063,8 +1066,10 @@ class AssignmentEngine:
         (``delta_applies``, ``recompiles``, ``conflict_patches``) and the
         exact-pruning outcomes (``prune_certified``, ``prune_fallbacks``)
         accumulated across the whole mutation chain the engine has served.
-        The historical flat keys are kept; the ``metrics`` block is the
-        full registry snapshot (latency histograms included).
+        The ``store`` block is the bound store's ``describe()``, or just
+        ``{"kind": "memory"}`` without one.  The historical flat keys are
+        kept; the ``metrics`` block is the full registry snapshot (latency
+        histograms included).
         """
         return {
             "revision": self._revision,
@@ -1080,8 +1085,8 @@ class AssignmentEngine:
             "cache": self._cache.describe(),
             "delta": self._problem.view_stats.as_dict(),
             "store": (
-                self._store if self._store is not None else self._problem.entity_store
-            ).describe(),
+                self._store.describe() if self._store is not None else {"kind": "memory"}
+            ),
             "metrics": self.metrics_snapshot(),
         }
 

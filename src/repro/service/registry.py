@@ -180,12 +180,12 @@ def _make_ratio_greedy(**_: Any) -> CRASolver:
     return RatioGreedySolver()
 
 
-def _make_repair(backend: str = "hungarian", **_: Any) -> CRASolver:
-    return RefillRepairSolver(backend=backend)
+def _make_repair(**_: Any) -> CRASolver:
+    return RefillRepairSolver()
 
 
-def _make_sdga(backend: str = "hungarian", **_: Any) -> CRASolver:
-    return StageDeepeningGreedySolver(backend=backend)
+def _make_sdga(**_: Any) -> CRASolver:
+    return StageDeepeningGreedySolver()
 
 
 def _make_sdga_sra(
@@ -203,12 +203,7 @@ def _make_sdga_ls(**_: Any) -> CRASolver:
     )
 
 
-def _make_bid_sdga(
-    bids: Any = None,
-    tradeoff: float = 0.5,
-    backend: str = "hungarian",
-    **_: Any,
-) -> CRASolver:
+def _make_bid_sdga(bids: Any = None, tradeoff: float = 0.5, **_: Any) -> CRASolver:
     # Imported here: repro.extensions sits above the service layer and
     # importing it eagerly would create a cycle through the engine.
     from repro.extensions.bidding import BidAwareObjective, BidAwareSDGASolver, BidMatrix
@@ -224,8 +219,7 @@ def _make_bid_sdga(
         for reviewer_id, paper_id, value in bids:
             matrix.set(str(reviewer_id), str(paper_id), float(value))
     return BidAwareSDGASolver(
-        objective=BidAwareObjective(bids=matrix, tradeoff=float(tradeoff)),
-        backend=backend,
+        objective=BidAwareObjective(bids=matrix, tradeoff=float(tradeoff))
     )
 
 

@@ -1,18 +1,18 @@
-"""Pluggable problem storage: in-RAM, SQLite + inverted index, memmap blocks.
+"""Problem storage: SQLite + inverted index, optionally with memmap blocks.
 
+A problem without a store keeps its entities on itself; binding a
+:class:`SqliteProblemStore` moves them into a normalized SQLite file.
 See :mod:`repro.store.base` for the interface, ``docs/storage.md`` for
 the schema/layout reference, and ``tests/conformance/test_store_conformance.py``
-for the bitwise-equality contract every backend is held to.
+for the bitwise-equality contract the store is held to.
 """
 
 from repro.store.base import EntityIndex, ProblemStore, StoreStats
 from repro.store.blocks import MemmapScoreStore
-from repro.store.memory import InMemoryProblemStore
 from repro.store.sqlite import SCHEMA_VERSION, SqliteProblemStore
 
 __all__ = [
     "EntityIndex",
-    "InMemoryProblemStore",
     "MemmapScoreStore",
     "ProblemStore",
     "SCHEMA_VERSION",

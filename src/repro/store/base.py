@@ -1,22 +1,20 @@
-"""The pluggable problem-storage layer: interface and shared pieces.
+"""The problem-storage layer: interface and shared pieces.
 
-A :class:`ProblemStore` owns the durable (or resident) representation of
-one WGRAP instance — reviewers, papers, conflicts and bids — and keeps it
-current under the live mutation stream: attached to a problem chain, the
-store translates ``add_paper`` / ``remove_reviewer`` events and conflict
+A :class:`ProblemStore` owns the durable representation of one WGRAP
+instance — reviewers, papers, conflicts and bids — and keeps it current
+under the live mutation stream: attached to a problem chain, the store
+translates ``add_paper`` / ``remove_reviewer`` events and conflict
 changelog tails into incremental index updates, never a rebuild.
 
-Two implementations exist:
+The implementation is :class:`repro.store.sqlite.SqliteProblemStore`: a
+normalized SQLite schema (stdlib ``sqlite3``) with an inverted topic
+index, so candidate generation becomes an indexed range query instead of
+a scan.  A problem no store tracks keeps its entities in RAM and scans
+its own reviewers (:meth:`~repro.core.problem.WGRAPProblem.candidate_reviewers`).
 
-* :class:`repro.store.memory.InMemoryProblemStore` — the historical
-  in-RAM path, extracted behaviour-preserving (entity tuples + the scan);
-* :class:`repro.store.sqlite.SqliteProblemStore` — a normalized SQLite
-  schema (stdlib ``sqlite3``) with an inverted topic index, so candidate
-  generation becomes an indexed range query instead of a scan.
-
-``EntityIndex`` lives here because both the stores and
+``EntityIndex`` lives here because both the store and
 :class:`~repro.core.problem.WGRAPProblem` itself need the same id/position
-bookkeeping — the problem's entity access is a store-handle concern now.
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ class EntityIndex:
     """Shared index bookkeeping for papers and reviewers.
 
     Moved here from ``repro.core.problem`` (where it was ``_EntityIndex``)
-    so every storage backend reuses the same id/position mapping and
-    duplicate detection the problem itself relies on.
+    so the store reuses the same id/position mapping and duplicate
+    detection the problem itself relies on.
     """
 
     __slots__ = ("ids", "positions")
@@ -99,16 +97,15 @@ class StoreStats:
 
 
 class ProblemStore(abc.ABC):
-    """Interface every problem-storage backend implements.
+    """Interface a problem store implements.
 
     A store can *materialise* a problem (:meth:`load_problem`), *follow*
     a live mutation chain (:meth:`attach`), answer candidate queries, and
-    persist itself (:meth:`sync`).  The engine owns exactly one store per
-    tenant; the in-RAM implementation makes the historical no-store path
-    just another backend.
+    persist itself (:meth:`sync`).  An engine owns at most one store per
+    tenant; without one, the problem chain itself holds the entities.
     """
 
-    #: short backend tag ("memory" / "sqlite"), used by describe() and stats
+    #: short store tag ("sqlite"), used by describe() and stats
     kind: str = "abstract"
 
     def __init__(self) -> None:
@@ -177,8 +174,8 @@ class ProblemStore(abc.ABC):
     def abort(self) -> None:
         """Crash-stop: discard uncommitted deltas instead of committing.
 
-        The transactional backend overrides this with a rollback; in RAM
-        there is nothing durable to protect, so it is just :meth:`close`.
+        The transactional SQLite store overrides this with a rollback; by
+        default it is just :meth:`close`.
         """
         self.close()
 

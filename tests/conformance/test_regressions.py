@@ -64,26 +64,105 @@ class TestSolveOptionsCannotSelectAnOracle:
     factories, so ``{"options": {"use_dense": false}}`` over the network
     selected Greedy's object-path re-scan — orders of magnitude slower
     than the fast path on a served tenant — and ``lazy_heap`` its heap.
-    The references now live in ``tests/oracles``; the factories ignore
-    both options, so an old client's request is accepted and answered by
-    the one fast path.
+    ``{"backend": "flow"}`` likewise sent SDGA's and Repair's stage
+    assignments through a pure-Python min-cost flow (a 400x120x30 SDGA
+    solve took 35.3 s against 0.106 s on a 2-vCPU VM, for the same
+    score).  The references now live
+    in ``tests/oracles``; the factories ignore all three options, so an
+    old client's request is accepted and answered by the one fast path.
     """
 
     INSTANCE = "tie-heavy-reviewer-coverage"
 
     @pytest.mark.parametrize(
-        "options",
-        [{"use_dense": False}, {"use_dense": False, "lazy_heap": True}],
-        ids=["use_dense", "use_dense+lazy_heap"],
+        "solver,options",
+        [
+            ("Greedy", {"use_dense": False}),
+            ("Greedy", {"use_dense": False, "lazy_heap": True}),
+            ("SDGA", {"backend": "flow"}),
+            ("Repair", {"backend": "flow"}),
+        ],
+        ids=["use_dense", "use_dense+lazy_heap", "SDGA-backend=flow", "Repair-backend=flow"],
     )
-    def test_oracle_options_have_no_effect(self, options):
-        plain = AssignmentEngine(make_instance(GRID[self.INSTANCE])).solve("Greedy")
+    def test_oracle_options_have_no_effect(self, solver, options):
+        plain = AssignmentEngine(make_instance(GRID[self.INSTANCE])).solve(solver)
         optioned = AssignmentEngine(make_instance(GRID[self.INSTANCE])).solve(
-            "Greedy", **options
+            solver, **options
         )
         assert optioned.assignment == plain.assignment
         assert optioned.score == plain.score
         assert dict(optioned.stats) == dict(plain.stats)
+
+
+class TestStorelessEngineReportsNoStoreCounters:
+    """A store-less engine reported store counters that were wrong.
+
+    Every problem in the chain lazily built its own in-RAM store object,
+    so on a 12-reviewer engine ``stats()["store"]["index_hits"]`` fell
+    from 12 to 0 after one withdrawal, and ``bid_rows`` read 0 after
+    ``update_bids`` had recorded two bids (the engine mirrors bids only
+    into a bound store).  The in-RAM store is folded into the problem:
+    without a bound store the engine reports ``{"kind": "memory"}`` and
+    no ``store.*`` gauge.
+    """
+
+    def test_store_block_is_just_the_kind(self):
+        problem = make_problem(num_papers=6, num_reviewers=12, seed=3)
+        engine = AssignmentEngine(problem)
+        engine.solve("Greedy")
+        for paper_id in problem.paper_ids:
+            engine.problem.candidate_reviewers(paper_id)
+        engine.withdraw_reviewer(problem.reviewer_ids[0])
+        engine.update_bids(
+            [
+                (problem.reviewer_ids[1], problem.paper_ids[0], 1.0),
+                (problem.reviewer_ids[2], problem.paper_ids[1], 0.5),
+            ]
+        )
+        stats = engine.stats()
+        assert stats["store"] == {"kind": "memory"}
+        gauges = [name for name in stats["metrics"] if name.startswith("store.")]
+        assert gauges == []
+
+
+class TestTightConflictDenseInstancesComplete:
+    """Findings of the pruning property tests: feasible instances raised.
+
+    With δr·R barely above δp·P and dense conflicts, two constructive
+    paths could strand a paper every feasible reviewer of which was full:
+
+    * the repair pass's deadlock resolver tried one swap only, so Greedy
+      and Ratio-Greedy raised ``InfeasibleProblemError`` on an instance
+      every other solver staffs (it needs a longer chain of moves);
+    * SDGA's stages never revisit earlier choices, so a later stage had
+      no feasible one-reviewer-per-paper assignment; SDGA, its refined
+      variants and Bid-SDGA raised.
+
+    The resolver now falls back on the shortest chain of moves, and a
+    stranded SDGA stage hands the rest to the repair pass.
+    """
+
+    @pytest.mark.parametrize("name", ["Greedy", "Ratio-Greedy"])
+    def test_repair_resolves_a_deadlock_needing_a_chain(self, name):
+        problem = make_problem(
+            num_papers=4, num_reviewers=8, num_topics=3, group_size=2, seed=2693,
+            conflict_ratio=0.15, scoring="dot_product",
+        )
+        result = create_solver("cra", name).solve(problem)
+        problem.validate_assignment(result.assignment)
+        assert result.stats["repaired"] is True
+
+    @pytest.mark.parametrize("name", ["SDGA", "SDGA-LS", "SDGA-SRA", "Bid-SDGA"])
+    def test_stranded_sdga_stage_is_completed(self, name):
+        problem = make_problem(
+            num_papers=4, num_reviewers=9, num_topics=4, group_size=4, seed=280,
+            conflict_ratio=0.15, scoring="dot_product",
+        )
+        result = create_solver("cra", name).solve(problem)
+        oracle = reference_solver("cra", name).solve(problem)
+        problem.validate_assignment(result.assignment)
+        assert result.assignment == oracle.assignment
+        assert result.score == oracle.score
 
 
 def _tiny_entities(num_topics: int = 3):

@@ -28,7 +28,7 @@ from repro.core.entities import Paper
 from repro.data.synthetic import make_problem
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import available_solver_specs, create_solver
-from repro.store import InMemoryProblemStore, SqliteProblemStore
+from repro.store import SqliteProblemStore
 from tests.conformance import (
     CHAINS,
     GRID,
@@ -38,6 +38,7 @@ from tests.conformance import (
     late_paper,
     make_instance,
 )
+from tests.oracles.store import InMemoryProblemStore
 
 CRA_SPECS = available_solver_specs("cra")
 FAST_CRA = [spec for spec in CRA_SPECS if "exponential" not in spec.tags]

@@ -20,6 +20,14 @@ select a reference.
 
 :func:`reference_solver` builds the reference for a registry name with
 the registry factory's defaults; :data:`REFERENCES` lists them.
+
+The substrates have references too, which stay off :data:`REFERENCES`:
+:mod:`tests.oracles.flow` (a min-cost flow for the Hungarian stage
+assignment and the pairwise ILP's HiGHS LP) and
+:mod:`tests.oracles.simplex` (a dense simplex for the branch-and-bound
+driver's HiGHS relaxations) match on objective values, not on how ties
+are broken; :mod:`tests.oracles.store` is the in-RAM candidate scan the
+SQLite store's index is diffed against.
 """
 
 from __future__ import annotations

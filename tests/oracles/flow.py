@@ -1,29 +1,54 @@
-"""A self-contained minimum-cost flow solver.
+"""A successive-shortest-path min-cost flow: the reference for the
+assignment steps that ``src/`` solves with the Hungarian algorithm and
+HiGHS.
 
 The paper mentions min-cost-flow assignment (Ahuja et al.) as an
-alternative backend for the per-stage linear assignment of SDGA.  This
-module implements the successive-shortest-path algorithm with a
-Bellman-Ford (SPFA) shortest-path routine, which handles real-valued and
-negative edge costs directly — convenient because assignment *profits* are
-encoded as negated costs.
+alternative to the Hungarian algorithm for SDGA's per-stage linear
+assignment.  :class:`MinCostFlowSolver` implements successive shortest
+paths with a Bellman-Ford (SPFA) routine, which handles real-valued and
+negative edge costs directly — convenient because assignment *profits*
+are encoded as negated costs.  It is pure Python, meant for the small
+graphs of the test instances.
 
-The solver is deliberately simple and is meant for the small and
-medium-sized graphs that appear in reviewer assignment (a few hundred
-papers and reviewers).  The Hungarian backend in
-:mod:`repro.assignment.hungarian` is the faster default for dense stage
-assignments; this one exists as an independent implementation used for
-cross-validation and for capacitated graphs that do not fit the dense
-matrix mould.
+On top of it:
+
+* :func:`flow_capacitated_assignment` — the Stage-WGRAP step of
+  :func:`~repro.assignment.transportation.solve_capacitated_assignment`
+  as a flow network;
+* :class:`SDGAFlow` — SDGA with every stage solved by that network
+  (the stage solver is swapped with ``unittest.mock.patch.object``, the
+  idiom of :func:`~tests.oracles.inputs.object_refill`);
+* :class:`PairwiseILPFlow` — the pairwise ILP with its LP seam replaced
+  by the equivalent flow.
+
+They match the fast paths on the objective value, not on how ties are
+broken.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Any
+from unittest import mock
 
-from repro.exceptions import ConfigurationError, SolverError
+import numpy as np
 
-__all__ = ["Edge", "MinCostFlowSolver", "FlowResult"]
+from repro.assignment.transportation import CapacitatedAssignmentResult
+from repro.core.assignment import Assignment
+from repro.core.problem import WGRAPProblem
+from repro.cra import sdga
+from repro.cra.ilp import PairwiseILPSolver
+from repro.exceptions import ConfigurationError, InfeasibleProblemError, SolverError
+
+__all__ = [
+    "Edge",
+    "FlowResult",
+    "MinCostFlowSolver",
+    "PairwiseILPFlow",
+    "SDGAFlow",
+    "flow_capacitated_assignment",
+]
 
 
 @dataclass
@@ -200,3 +225,125 @@ class MinCostFlowSolver:
                         queue.append(edge.target)
                         in_queue[edge.target] = True
         return distances, parent_edge
+
+
+def flow_capacitated_assignment(
+    profit_matrix: np.ndarray,
+    column_capacities: np.ndarray,
+    forbidden: np.ndarray | None = None,
+) -> CapacitatedAssignmentResult:
+    """Every row to one column under per-column capacities, as a min-cost flow."""
+    profit = np.asarray(profit_matrix, dtype=np.float64)
+    capacities = np.asarray(column_capacities, dtype=np.int64)
+    if forbidden is not None:
+        forbidden = np.asarray(forbidden, dtype=bool)
+    num_rows, num_cols = profit.shape
+    source = 0
+    row_offset = 1
+    col_offset = 1 + num_rows
+    sink = 1 + num_rows + num_cols
+    solver = MinCostFlowSolver(num_nodes=sink + 1)
+
+    for row in range(num_rows):
+        solver.add_edge(source, row_offset + row, capacity=1.0, cost=0.0)
+
+    pair_handles: dict[int, tuple[int, int]] = {}
+    for row in range(num_rows):
+        for col in range(num_cols):
+            if forbidden is not None and forbidden[row, col]:
+                continue
+            handle = solver.add_edge(
+                row_offset + row,
+                col_offset + col,
+                capacity=1.0,
+                cost=-float(profit[row, col]),
+            )
+            pair_handles[handle] = (row, col)
+
+    for col in range(num_cols):
+        solver.add_edge(
+            col_offset + col, sink, capacity=float(capacities[col]), cost=0.0
+        )
+
+    try:
+        flow = solver.solve(source, sink, required_flow=float(num_rows))
+    except SolverError as error:
+        raise InfeasibleProblemError(
+            "no feasible assignment exists under the given capacities and conflicts"
+        ) from error
+
+    row_to_col = np.full(num_rows, -1, dtype=np.int64)
+    total_profit = 0.0
+    for handle, (row, col) in pair_handles.items():
+        if flow.edge_flows.get(handle, 0.0) > 0.5:
+            row_to_col[row] = col
+            total_profit += float(profit[row, col])
+    if np.any(row_to_col < 0):
+        raise SolverError("the flow network left a row unassigned")
+    return CapacitatedAssignmentResult(
+        row_to_col=tuple(int(col) for col in row_to_col), total_profit=total_profit
+    )
+
+
+class SDGAFlow(sdga.StageDeepeningGreedySolver):
+    """SDGA with every Stage-WGRAP step solved as a min-cost flow."""
+
+    def _solve(self, problem):
+        with mock.patch.object(
+            sdga, "solve_capacitated_assignment", flow_capacitated_assignment
+        ):
+            return super()._solve(problem)
+
+
+class PairwiseILPFlow(PairwiseILPSolver):
+    """The pairwise ILP with its LP solved as the equivalent min-cost flow.
+
+    The constraint matrix is totally unimodular, so the flow's integral
+    optimum is the LP's: papers draw ``delta_p`` units from the source,
+    reviewers pass at most ``delta_r`` to the sink, and each feasible pair
+    is a unit edge costing the negated pair score.
+    """
+
+    def _solve_lp(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
+        scores = problem.pair_score_matrix()
+        num_reviewers, num_papers = scores.shape
+        source = 0
+        paper_offset = 1
+        reviewer_offset = 1 + num_papers
+        sink = 1 + num_papers + num_reviewers
+        solver = MinCostFlowSolver(num_nodes=sink + 1)
+
+        for paper_idx in range(num_papers):
+            solver.add_edge(
+                source, paper_offset + paper_idx, capacity=float(problem.group_size), cost=0.0
+            )
+        pair_handles: dict[int, tuple[int, int]] = {}
+        for paper_idx, paper_id in enumerate(problem.paper_ids):
+            for reviewer_idx, reviewer_id in enumerate(problem.reviewer_ids):
+                if not problem.is_feasible_pair(reviewer_id, paper_id):
+                    continue
+                handle = solver.add_edge(
+                    paper_offset + paper_idx,
+                    reviewer_offset + reviewer_idx,
+                    capacity=1.0,
+                    cost=-float(scores[reviewer_idx, paper_idx]),
+                )
+                pair_handles[handle] = (reviewer_idx, paper_idx)
+        for reviewer_idx in range(num_reviewers):
+            solver.add_edge(
+                reviewer_offset + reviewer_idx,
+                sink,
+                capacity=float(problem.reviewer_workload),
+                cost=0.0,
+            )
+
+        flow = solver.solve(
+            source, sink, required_flow=float(num_papers * problem.group_size)
+        )
+        assignment = Assignment()
+        for handle, (reviewer_idx, paper_idx) in pair_handles.items():
+            if flow.edge_flows.get(handle, 0.0) > 0.5:
+                assignment.add(
+                    problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx]
+                )
+        return assignment, {"flow_cost": flow.total_cost}

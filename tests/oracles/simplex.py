@@ -1,32 +1,39 @@
-"""A dense two-phase primal simplex solver for small linear programs.
+"""A dense two-phase primal simplex: the LP reference for the ILP solvers.
 
-The paper's ILP baseline uses ``lp_solve``, a revised-simplex library.
-This module provides the equivalent substrate: a self-contained simplex
-solver able to handle the LP relaxations produced by
-:class:`repro.optimize.model.ModelBuilder`.  It targets the *small* LPs of
-the reviewer-assignment formulations (hundreds of variables); the
-branch-and-bound driver can alternatively delegate relaxations to SciPy's
-HiGHS backend for larger instances (see
-:mod:`repro.optimize.branch_and_bound`).
+The ILP baselines in ``src/`` solve their LP relaxations with SciPy's
+HiGHS.  This module keeps an independent implementation to cross-check
+them: the classic two-phase tableau method with Bland's anti-cycling
+rule, favouring clarity and robustness over raw speed, for the *small*
+LPs of the reviewer-assignment formulations (hundreds of variables).
 
-The implementation is the classic two-phase tableau method with Bland's
-anti-cycling rule.  It favours clarity and robustness over raw speed.
+:class:`SimplexBranchAndBound` is :class:`~repro.optimize.BranchAndBoundSolver`
+with its relaxation seam swapped for this simplex, and
+:func:`simplex_driver` runs the JRA :class:`~repro.jra.ilp.ILPSolver` over
+it (``unittest.mock.patch.object``, the idiom of
+:func:`~tests.oracles.inputs.object_refill`).  They match HiGHS on the
+objective value, not on how ties are broken.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
 from repro.exceptions import (
     InfeasibleLinearProgramError,
     IterationLimitError,
+    SolverError,
     UnboundedProblemError,
 )
+from repro.jra import ilp as jra_ilp
+from repro.optimize.branch_and_bound import BranchAndBoundSolver
 from repro.optimize.model import LinearProgram
 
-__all__ = ["LPSolution", "solve_linear_program"]
+__all__ = ["LPSolution", "SimplexBranchAndBound", "simplex_driver", "solve_linear_program"]
 
 _TOLERANCE = 1e-9
 
@@ -279,3 +286,26 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, column: int) -> Non
     other_rows = np.arange(tableau.shape[0]) != row
     tableau[other_rows, :] -= np.outer(tableau[other_rows, column], tableau[row, :])
     basis[row] = column
+
+
+class SimplexBranchAndBound(BranchAndBoundSolver):
+    """The branch-and-bound driver with simplex relaxations instead of HiGHS."""
+
+    @staticmethod
+    def _solve_lp(program: LinearProgram) -> tuple[np.ndarray, float] | None:
+        try:
+            solution = solve_linear_program(program)
+        except InfeasibleLinearProgramError:
+            return None
+        except UnboundedProblemError as error:
+            raise SolverError(
+                "the LP relaxation is unbounded; 0-1 programs must have bounded objectives"
+            ) from error
+        return solution.values, solution.objective
+
+
+@contextmanager
+def simplex_driver() -> Iterator[None]:
+    """Run :class:`~repro.jra.ilp.ILPSolver` over :class:`SimplexBranchAndBound`."""
+    with mock.patch.object(jra_ilp, "ILPDriver", SimplexBranchAndBound):
+        yield

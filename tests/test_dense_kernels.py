@@ -319,7 +319,7 @@ def _reference_sra_refine(problem, assignment, rounds, seed, probability_model, 
             dtype=np.int64,
         )
         result = solve_capacitated_assignment(
-            gains, np.maximum(capacities, 0), forbidden=forbidden, backend="hungarian"
+            gains, np.maximum(capacities, 0), forbidden=forbidden
         )
         for paper_idx, reviewer_idx in enumerate(result.row_to_col):
             current.add(problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx])

@@ -17,6 +17,7 @@ from repro.jra.cp import ConstraintProgrammingSolver
 from repro.jra.ilp import ILPSolver
 from repro.jra.topk import find_top_k_groups
 from repro.exceptions import ConfigurationError
+from tests.oracles.simplex import simplex_driver
 
 
 def _exhaustive_best(problem: JRAProblem) -> tuple[float, set[frozenset[str]]]:
@@ -191,7 +192,8 @@ class TestILP:
             for i in range(5)
         ]
         problem = JRAProblem(paper=paper, reviewers=reviewers, group_size=2)
-        ilp = ILPSolver(backend="simplex").solve(problem)
+        with simplex_driver():
+            ilp = ILPSolver().solve(problem)
         bfs = BruteForceSolver().solve(problem)
         assert ilp.score == pytest.approx(bfs.score)
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.assignment.hungarian import solve_assignment
-from repro.assignment.min_cost_flow import MinCostFlowSolver
 from repro.exceptions import ConfigurationError, SolverError
+from tests.oracles.flow import MinCostFlowSolver
 
 
 class TestConstruction:

@@ -12,7 +12,7 @@ from repro.exceptions import (
 )
 from repro.optimize.branch_and_bound import BranchAndBoundSolver
 from repro.optimize.model import LinearProgram, ModelBuilder, Sense
-from repro.optimize.simplex import solve_linear_program
+from tests.oracles.simplex import SimplexBranchAndBound, solve_linear_program
 
 
 def _knapsack_program(values, weights, capacity):
@@ -145,12 +145,14 @@ class TestSimplex:
 
 
 class TestBranchAndBound:
-    @pytest.mark.parametrize("backend", ["simplex", "highs"])
-    def test_knapsack_optimum(self, backend):
+    @pytest.mark.parametrize(
+        "driver", [SimplexBranchAndBound, BranchAndBoundSolver], ids=["simplex", "highs"]
+    )
+    def test_knapsack_optimum(self, driver):
         program, _ = _knapsack_program(
             values=[10, 13, 18, 31, 7, 15], weights=[2, 3, 4, 6, 1, 3], capacity=10
         )
-        solver = BranchAndBoundSolver(backend=backend)
+        solver = driver()
         solution = solver.solve(program)
         assert solution.objective == pytest.approx(53.0)  # items of value 31 + 15 + 7
         assert solution.is_optimal
@@ -162,7 +164,7 @@ class TestBranchAndBound:
             weights = rng.integers(1, 8, size=7).tolist()
             capacity = int(sum(weights) * 0.5)
             program, _ = _knapsack_program(values, weights, capacity)
-            solution = BranchAndBoundSolver(backend="highs").solve(program)
+            solution = BranchAndBoundSolver().solve(program)
 
             # Reference: classic dynamic program.
             best = np.zeros(capacity + 1)
@@ -177,25 +179,21 @@ class TestBranchAndBound:
         builder.add_constraint({x: 1.0}, Sense.GREATER_EQUAL, 2.0)
         builder.set_objective({x: 1.0})
         with pytest.raises(InfeasibleLinearProgramError):
-            BranchAndBoundSolver(backend="simplex").solve(builder.build())
+            SimplexBranchAndBound().solve(builder.build())
 
     def test_node_limit_returns_incumbent(self):
         program, _ = _knapsack_program(
             values=list(range(1, 13)), weights=[3] * 12, capacity=18
         )
-        solution = BranchAndBoundSolver(backend="highs", node_limit=3).solve(program)
+        solution = BranchAndBoundSolver(node_limit=3).solve(program)
         assert solution.nodes_explored <= 3
         # The incumbent is feasible even if not proven optimal.
         assert program.is_feasible(solution.values)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BranchAndBoundSolver(backend="cplex")
 
     def test_pure_lp_handled_without_branching(self):
         builder = ModelBuilder()
         x = builder.add_variable("x", upper=2.5)
         builder.set_objective({x: 2.0})
-        solution = BranchAndBoundSolver(backend="simplex").solve(builder.build())
+        solution = SimplexBranchAndBound().solve(builder.build())
         assert solution.objective == pytest.approx(5.0)
         assert solution.nodes_explored == 1

@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from repro.assignment.hungarian import solve_assignment, solve_max_assignment
 from repro.assignment.transportation import solve_capacitated_assignment
+from tests.oracles.flow import flow_capacitated_assignment
 
 
 def cost_matrices(max_rows=7, max_cols=7):
@@ -70,8 +71,8 @@ def test_capacitated_backends_agree_and_respect_capacities(rows, cols, capacity,
     if capacities.sum() < rows:
         capacities[rng.integers(0, cols)] += rows - capacities.sum()
 
-    hungarian = solve_capacitated_assignment(profit, capacities, backend="hungarian")
-    flow = solve_capacitated_assignment(profit, capacities, backend="flow")
+    hungarian = solve_capacitated_assignment(profit, capacities)
+    flow = flow_capacitated_assignment(profit, capacities)
     assert np.isclose(hungarian.total_profit, flow.total_profit, atol=1e-8)
 
     usage = np.bincount(np.array(hungarian.row_to_col), minlength=cols)

@@ -8,7 +8,7 @@ import pytest
 from repro.exceptions import InfeasibleLinearProgramError
 from repro.optimize.branch_and_bound import BranchAndBoundSolver
 from repro.optimize.model import ModelBuilder, Sense
-from repro.optimize.simplex import solve_linear_program
+from tests.oracles.simplex import SimplexBranchAndBound, solve_linear_program
 
 
 class TestDegenerateAndRedundantPrograms:
@@ -74,7 +74,7 @@ class TestBranchAndBoundEdgeCases:
         builder.add_constraint({x: 1.0}, Sense.EQUAL, 1.0)
         builder.add_constraint({y: 1.0}, Sense.EQUAL, 0.0)
         builder.set_objective({x: 2.0, y: 5.0})
-        solution = BranchAndBoundSolver(backend="simplex").solve(builder.build())
+        solution = SimplexBranchAndBound().solve(builder.build())
         assert solution.objective == pytest.approx(2.0)
         assert solution.values == pytest.approx(np.array([1.0, 0.0]))
 
@@ -85,7 +85,7 @@ class TestBranchAndBoundEdgeCases:
         items = [builder.add_binary_variable(f"x{i}") for i in range(4)]
         builder.add_constraint({i: 1.0 for i in items}, Sense.EQUAL, 2.0)
         builder.set_objective({items[0]: 1.0, items[1]: 5.0, items[2]: 3.0, items[3]: 4.0})
-        solution = BranchAndBoundSolver(backend="highs").solve(builder.build())
+        solution = BranchAndBoundSolver().solve(builder.build())
         assert solution.objective == pytest.approx(9.0)
         chosen = {index for index, value in enumerate(solution.values) if value > 0.5}
         assert chosen == {1, 3}
@@ -107,6 +107,6 @@ class TestBranchAndBoundEdgeCases:
                 {item: float(values[i]) for i, item in enumerate(items)}
             )
             program = builder.build()
-            simplex = BranchAndBoundSolver(backend="simplex").solve(program)
-            highs = BranchAndBoundSolver(backend="highs").solve(program)
+            simplex = SimplexBranchAndBound().solve(program)
+            highs = BranchAndBoundSolver().solve(program)
             assert simplex.objective == pytest.approx(highs.objective)

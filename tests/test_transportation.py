@@ -7,6 +7,7 @@ import pytest
 
 from repro.assignment.transportation import solve_capacitated_assignment
 from repro.exceptions import ConfigurationError, InfeasibleProblemError
+from tests.oracles.flow import flow_capacitated_assignment
 
 
 class TestValidation:
@@ -36,10 +37,6 @@ class TestValidation:
         forbidden = np.array([[True, True], [False, False]])
         with pytest.raises(InfeasibleProblemError):
             solve_capacitated_assignment(np.ones((2, 2)), np.array([2, 2]), forbidden=forbidden)
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
-            solve_capacitated_assignment(np.ones((1, 1)), np.array([1]), backend="magic")
 
 
 class TestOptimality:
@@ -81,12 +78,8 @@ class TestBackendsAgree:
         capacities = np.full(shape[1], capacity)
         forbidden = rng.random(shape) < 0.1
         forbidden[forbidden.all(axis=1)] = False  # keep every row assignable
-        hungarian = solve_capacitated_assignment(
-            profit, capacities, forbidden=forbidden, backend="hungarian"
-        )
-        flow = solve_capacitated_assignment(
-            profit, capacities, forbidden=forbidden, backend="flow"
-        )
+        hungarian = solve_capacitated_assignment(profit, capacities, forbidden=forbidden)
+        flow = flow_capacitated_assignment(profit, capacities, forbidden=forbidden)
         assert hungarian.total_profit == pytest.approx(flow.total_profit)
 
     def test_capacity_constraint_respected(self):
