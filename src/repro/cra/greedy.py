@@ -51,25 +51,9 @@ __all__ = ["GreedySolver"]
 
 
 class GreedySolver(CRASolver):
-    """Pair-by-pair greedy assignment (the 1/3-approximation baseline).
-
-    Parameters
-    ----------
-    prune:
-        Refresh columns through the exact pruned candidate generator
-        (default).  Pruning is result-preserving — every certification
-        failure falls back to the full column — so disabling it only
-        changes the running time.
-    prune_width:
-        Shortlist width of the generator; ``None`` picks the default
-        scaled to the group size.
-    """
+    """Pair-by-pair greedy assignment (the 1/3-approximation baseline)."""
 
     name = "Greedy"
-
-    def __init__(self, prune: bool = True, prune_width: int | None = None) -> None:
-        self._prune = prune
-        self._prune_width = prune_width
 
     def _solve(self, problem: WGRAPProblem) -> tuple[Assignment, dict[str, Any]]:
         """Greedy via incrementally maintained per-paper column maxima.
@@ -98,10 +82,7 @@ class GreedySolver(CRASolver):
         group_size = dense.group_size
         reviewer_workload = dense.reviewer_workload
         feasible = dense.feasible
-        generator = PrunedCandidateGenerator(
-            dense,
-            width=self._prune_width if self._prune else num_reviewers,
-        )
+        generator = PrunedCandidateGenerator(dense)
         certified_before = dense.view_stats.prune_certified
         fallbacks_before = dense.view_stats.prune_fallbacks
 
@@ -186,7 +167,6 @@ class GreedySolver(CRASolver):
             "iterations": iterations,
             "column_refreshes": column_refreshes,
             "strategy": "dense_argmax",
-            "pruned": self._prune,
             "prune_width": generator.width,
             "prune_certified": dense.view_stats.prune_certified - certified_before,
             "prune_fallbacks": dense.view_stats.prune_fallbacks - fallbacks_before,

@@ -7,9 +7,11 @@ reviewers with the workload constraint ignored.  Since
 ``c(AI) >= c(O)``, the reported ratio ``c(A) / c(AI)`` is a lower bound of
 the true approximation ratio ``c(A) / c(O)`` (Section 5.2).
 
-The paper constructs ``AI`` greedily per paper; this module does the same
-by default and can optionally use the exact BBA solver per paper (slower,
-slightly tighter reference).
+The paper constructs ``AI`` greedily per paper.  This module finds each
+paper's group with the exact BBA solver by default, which guarantees
+``c(AI) >= c(O)``; the optimality ratio and the experiments rely on that
+default.  ``exact=False`` builds the groups greedily instead (cheaper,
+and enough when only relative comparisons between methods are needed).
 """
 
 from __future__ import annotations

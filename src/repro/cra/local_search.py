@@ -89,16 +89,13 @@ class _DenseSearchState:
     bookkeeping stays cheap.
     """
 
-    def __init__(
-        self, dense: DenseProblem, assignment: Assignment, prune: bool = True
-    ) -> None:
+    def __init__(self, dense: DenseProblem, assignment: Assignment) -> None:
         self.dense = dense
         self.assignment = assignment
-        self.prune = prune
         problem = dense.problem
         num_papers = dense.num_papers
         group_size = dense.group_size
-        self.pair_scores = dense.pair_scores() if prune else None
+        self.pair_scores = dense.pair_scores()
         self.members: list[list[int]] = [
             dense.sorted_member_rows(assignment, paper_id)
             for paper_id in problem.paper_ids
@@ -135,10 +132,7 @@ class _DenseSearchState:
                 np.max(dense.reviewer_matrix[others], axis=0, out=self.slot_loo[slot])
             else:
                 self.slot_loo[slot] = 0.0
-            if self.prune:
-                self.slot_score[slot] = dense.paper_score(
-                    self.slot_loo[slot], paper_idx
-                )
+            self.slot_score[slot] = dense.paper_score(self.slot_loo[slot], paper_idx)
 
     def _refresh_paper(self, paper_idx: int) -> None:
         dense = self.dense
@@ -271,7 +265,7 @@ class _DenseSearchState:
     ) -> np.ndarray:
         """Scores of ``loo + {candidate}``, pruned to the candidates that matter.
 
-        With pruning on, a candidate's replace gain is bounded by
+        A candidate's replace gain is bounded by
         ``slot_score + pair_score - current_score`` (admissible:
         submodularity caps the candidate's contribution to the
         leave-one-out group by its solo score).  Only candidates whose
@@ -291,8 +285,6 @@ class _DenseSearchState:
         genuinely attempted-but-uncertified prunes.
         """
         dense = self.dense
-        if not self.prune:
-            return dense.candidate_scores(leave_one_out, paper_idx)
         num_reviewers = dense.num_reviewers
         if do_exchange and self.slot_member.size * 2 >= num_reviewers:
             # The exchange side alone needs (an upper bound of) most of the
@@ -334,11 +326,6 @@ class LocalSearchRefiner:
     moves:
         Which move kinds to consider: ``"all"`` (default), ``"replace"``
         or ``"exchange"``.
-    prune:
-        Evaluate replace candidates through the admissible upper bound
-        (default).  Pruning is result-preserving — the skipped candidates
-        provably cannot be accepted — so disabling it only changes the
-        running time.
     """
 
     def __init__(
@@ -346,14 +333,12 @@ class LocalSearchRefiner:
         max_rounds: int = 100,
         time_budget: float | None = None,
         moves: str = "all",
-        prune: bool = True,
     ) -> None:
         if moves not in {"all", "replace", "exchange"}:
             raise ConfigurationError("moves must be 'all', 'replace' or 'exchange'")
         self._max_rounds = max_rounds
         self._time_budget = time_budget
         self._moves = moves
-        self._prune = prune
 
     def refine(
         self, problem: WGRAPProblem, assignment: Assignment
@@ -367,7 +352,7 @@ class LocalSearchRefiner:
     ) -> tuple[Assignment, dict[str, Any]]:
         """The dense hill-climb over a :class:`_DenseSearchState` mirror."""
         dense = problem.dense_view()
-        state = _DenseSearchState(dense, assignment.copy(), prune=self._prune)
+        state = _DenseSearchState(dense, assignment.copy())
         current_score = float(sum(state.scores.tolist()))
         do_replace = self._moves in {"all", "replace"}
         do_exchange = self._moves in {"all", "exchange"}

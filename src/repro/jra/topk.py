@@ -5,36 +5,20 @@ reviewer sets by replacing bsf by a heap structure".  This module exposes
 that capability as a convenience function so journal editors can inspect a
 ranked shortlist of candidate groups instead of a single answer.
 
-For large pools the query can additionally be answered through an **exact
-pruned candidate pool**: solve on the top-``prune`` candidates by pair
-score, then certify the answer with an admissible bound — any group using
-a reviewer outside the pool scores at most the sum of the ``delta_p - 1``
-best pair scores plus the best outside pair score (submodularity:
-``score(G) <= sum of the members' solo scores``).  When the k-th best
-in-pool group strictly beats that bound (by :data:`~repro.core.delta.PRUNE_MARGIN`),
-the shortlist is provably the global answer; otherwise the query falls
-back to the full pool.  This differs from the engine's heuristic
-``pool_size`` pruning, which trades quality for speed without a
-certificate.
-
-Exactness caveat: the certified answer has **bitwise-identical scores**
-to the full-pool answer.  Group *identity* can differ only when several
-distinct groups score exactly equal (possible under the discrete
-winner-takes-all scorings): branch and bound keeps the first optimum it
-discovers, and restricting the pool changes discovery order among the
-tied optima.  ``tests/test_property_pruning.py`` pins exactly this
-contract.
+Every query is one solve over the problem's candidate pool, exact with
+BBA or BFS.  Whatever pruning makes it fast lives inside the solver (BBA's
+bounds), so nothing here can change an answer.  The engine's heuristic
+``pool_size`` is the one restriction that can: it shrinks the candidate
+pool before the query reaches this module, trading quality for speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.delta import PRUNE_MARGIN, ViewStats
 from repro.core.problem import JRAProblem
 from repro.exceptions import ConfigurationError
+from repro.jra.base import JRASolver
 from repro.jra.bba import BranchAndBoundSolver
 from repro.jra.brute_force import BruteForceSolver
 
@@ -50,7 +34,9 @@ class RankedGroup:
     score: float
 
 
-def _make_solver(method: str, k: int):
+def _make_solver(method: str | JRASolver, k: int) -> JRASolver:
+    if isinstance(method, JRASolver):
+        return method
     # Request exactly k groups: asking for more than needed used to force
     # the heap-tracking mode (and its weaker k-th-best pruning bound) even
     # for plain best-group queries, making k=1 shortlists measurably
@@ -62,85 +48,8 @@ def _make_solver(method: str, k: int):
     raise ConfigurationError(f"unknown method {method!r}; use 'bba' or 'bfs'")
 
 
-def _solve_ranked(problem: JRAProblem, k: int, method: str) -> list[RankedGroup]:
-    result = _make_solver(method, k).solve(problem)
-    ranked_pairs = result.stats.get("top_k", [(result.reviewer_ids, result.score)])
-    return [
-        RankedGroup(rank=rank, reviewer_ids=tuple(ids), score=float(score))
-        for rank, (ids, score) in enumerate(ranked_pairs[:k], start=1)
-    ]
-
-
-def _pruned_top_k(
-    problem: JRAProblem,
-    k: int,
-    method: str,
-    width: int,
-    candidate_scores: np.ndarray | None,
-    stats: ViewStats | None,
-) -> list[RankedGroup] | None:
-    """The certified pruned-pool answer, or ``None`` when uncertifiable.
-
-    Counts the outcome on ``stats``: ``prune_certified`` when the bound
-    certifies the restricted answer, ``prune_fallbacks`` when pruning was
-    *attempted* but could not certify.  A pool too small to prune (width
-    covering every candidate) counts as neither — pruning was simply
-    inapplicable.
-    """
-    num_candidates = problem.num_reviewers
-    group_size = problem.group_size
-    width = max(int(width), group_size)
-    if width >= num_candidates:
-        return None  # nothing to prune; not counted
-    if candidate_scores is None:
-        scores = problem.scoring.score_matrix(
-            problem.reviewer_matrix, problem.paper_vector[None, :]
-        )[:, 0]
-    else:
-        scores = np.asarray(candidate_scores, dtype=np.float64)
-        if scores.shape != (num_candidates,):
-            raise ConfigurationError(
-                f"candidate_scores must have shape ({num_candidates},), "
-                f"got {scores.shape}"
-            )
-    order = np.argsort(-scores, kind="stable")
-    outside = order[width:]
-    restricted = JRAProblem(
-        paper=problem.paper,
-        reviewers=problem.reviewers,
-        group_size=group_size,
-        excluded_reviewers=[problem.reviewer_ids[int(row)] for row in outside],
-        scoring=problem.scoring,
-    )
-    shortlist = _solve_ranked(restricted, k, method)
-    if len(shortlist) < k:
-        # The pool cannot even produce k distinct groups: an attempted
-        # prune that failed to certify.
-        if stats is not None:
-            stats.prune_fallbacks += 1
-        return None
-    # Admissible bound on any group touching the outside: the delta_p - 1
-    # best solo scores overall (all inside the pool by construction) plus
-    # the best outside solo score.
-    bound = float(scores[order[: group_size - 1]].sum()) + float(
-        scores[order[width]]
-    )
-    if shortlist[-1].score > bound + PRUNE_MARGIN:
-        if stats is not None:
-            stats.prune_certified += 1
-        return shortlist
-    if stats is not None:
-        stats.prune_fallbacks += 1
-    return None
-
-
 def find_top_k_groups(
-    problem: JRAProblem,
-    k: int,
-    method: str = "bba",
-    prune: int | None = None,
-    candidate_scores: np.ndarray | None = None,
-    stats: ViewStats | None = None,
+    problem: JRAProblem, k: int, method: str | JRASolver = "bba"
 ) -> list[RankedGroup]:
     """Return the ``k`` best reviewer groups for a single paper.
 
@@ -153,19 +62,9 @@ def find_top_k_groups(
         candidate pool admits fewer than ``k`` distinct groups).
     method:
         ``"bba"`` (default) or ``"bfs"``; both are exact, BBA is the fast
-        one.
-    prune:
-        When set, first solve on the top-``prune`` candidates by pair
-        score and return that answer *only if* the admissible bound
-        certifies no outside reviewer can participate in a top-k group;
-        otherwise fall back to the full pool.  Exact either way.
-    candidate_scores:
-        Optional precomputed per-candidate pair scores aligned with
-        ``problem.reviewer_ids`` (e.g. a column of the engine's score
-        cache), saving the ``O(R x T)`` scoring pass of the pruned path.
-    stats:
-        Optional :class:`~repro.core.delta.ViewStats` receiving
-        ``prune_certified`` / ``prune_fallbacks`` counts.
+        one.  A configured :class:`~repro.jra.base.JRASolver` (such as the
+        engine's registry solver, built with ``top_k=k``) is used as is; a
+        solver that keeps no heap answers with its one best group.
 
     Returns
     -------
@@ -174,9 +73,9 @@ def find_top_k_groups(
     """
     if k < 1:
         raise ConfigurationError("k must be at least 1")
-    _make_solver(method, k)  # validate the method before any work
-    if prune is not None and prune > 0:
-        shortlist = _pruned_top_k(problem, k, method, prune, candidate_scores, stats)
-        if shortlist is not None:
-            return shortlist
-    return _solve_ranked(problem, k, method)
+    result = _make_solver(method, k).solve(problem)
+    ranked_pairs = result.stats.get("top_k", [(result.reviewer_ids, result.score)])
+    return [
+        RankedGroup(rank=rank, reviewer_ids=tuple(ids), score=float(score))
+        for rank, (ids, score) in enumerate(ranked_pairs[:k], start=1)
+    ]

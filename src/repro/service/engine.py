@@ -16,8 +16,10 @@ work across requests:
   per late paper, zero re-scoring per withdrawal — instead of rebuilt,
   and subscribes to its mutation events so the reviewer rankings of
   :class:`~repro.service.cache.ScoreMatrixCache` follow the chain;
-* journal queries reuse cached per-paper JRA sub-problems and can prune
-  their candidate pool with the cache's top-k reviewer index;
+* journal queries reuse cached per-paper JRA sub-problems and answer
+  with one solve each (:func:`repro.jra.topk.find_top_k_groups`, exact
+  with the default BBA); the heuristic ``pool_size`` can first shrink the
+  candidate pool to the cache's top reviewers for the paper;
 * conference solves, incremental mutations and evaluation all go through
   the string-keyed solver registry, so requests can name solvers.
 
@@ -474,7 +476,6 @@ class AssignmentEngine:
         solver: str | None = None,
         pool_size: int | None = None,
         shortlist_size: int = 5,
-        prune: int | None = None,
     ) -> JournalAnswer:
         """Answer one online JRA query against the resident pool.
 
@@ -496,16 +497,6 @@ class AssignmentEngine:
             pools at a usually negligible quality cost.  Only available for
             papers of the problem (the cache has no column for inline
             papers).
-        prune:
-            When set, answer through the *exact* pruned candidate pool of
-            :func:`repro.jra.topk.find_top_k_groups`: solve on the top
-            ``prune`` candidates (ranked by the cached score column) and
-            certify the answer with the admissible bound, falling back to
-            the full pool when the bound cannot certify it.  Unlike
-            ``pool_size`` this never changes the answer; certification
-            outcomes are counted in the engine's delta stats
-            (``prune_certified`` / ``prune_fallbacks``).  Supported for
-            the BBA and BFS solvers.
         shortlist_size:
             How many individually top-scoring reviewers to report alongside
             the optimal group (0 disables the shortlist).
@@ -518,7 +509,6 @@ class AssignmentEngine:
                 solver=solver,
                 pool_size=pool_size,
                 shortlist_size=shortlist_size,
-                prune=prune,
             )
             span.set(paper=answer.paper_id, cache_hit=answer.cache_hit)
         self._observe("engine.journal.seconds", answer.elapsed_seconds)
@@ -532,17 +522,11 @@ class AssignmentEngine:
         solver: str | None = None,
         pool_size: int | None = None,
         shortlist_size: int = 5,
-        prune: int | None = None,
     ) -> JournalAnswer:
         started = time.perf_counter()
         spec = solver_spec("jra", solver or self.DEFAULT_JRA_SOLVER)
         if top_k < 1:
             raise ConfigurationError("top_k must be at least 1")
-        if prune is not None and spec.name.lower() not in {"bba", "bfs"}:
-            raise ConfigurationError(
-                f"exact pruning is supported for the BBA and BFS solvers, "
-                f"not {spec.name!r}"
-            )
 
         inline = isinstance(paper, Paper)
         if inline and paper.id in self._problem.paper_ids:
@@ -589,34 +573,7 @@ class AssignmentEngine:
                 jra = self._build_jra(paper_obj, size, pool_size)
                 self._jra_cache[key] = jra
 
-        if prune is not None:
-            groups = tuple(
-                find_top_k_groups(
-                    jra,
-                    top_k,
-                    method=spec.name.lower(),
-                    prune=prune,
-                    candidate_scores=(
-                        None if inline else self._candidate_scores_for(jra, paper_id)
-                    ),
-                    stats=self._problem.view_stats,
-                )
-            )
-        else:
-            solver_instance = spec.factory(top_k=top_k)
-            result = solver_instance.solve(jra)
-            ranked_raw = result.stats.get("top_k") if top_k > 1 else None
-            if ranked_raw:
-                groups = tuple(
-                    RankedGroup(rank=rank, reviewer_ids=tuple(ids), score=float(score))
-                    for rank, (ids, score) in enumerate(ranked_raw[:top_k], start=1)
-                )
-            else:
-                groups = (
-                    RankedGroup(
-                        rank=1, reviewer_ids=result.reviewer_ids, score=result.score
-                    ),
-                )
+        groups = tuple(find_top_k_groups(jra, top_k, spec.factory(top_k=top_k)))
 
         shortlist: tuple[tuple[str, float], ...] = ()
         if shortlist_size > 0 and not inline:
@@ -633,18 +590,6 @@ class AssignmentEngine:
             solver=spec.name,
             elapsed_seconds=time.perf_counter() - started,
         )
-
-    def _candidate_scores_for(self, jra: JRAProblem, paper_id: str) -> Any:
-        """The cached score-column entries aligned with a JRA candidate pool.
-
-        Feeds the exact pruned top-k path without any re-scoring: the
-        cache column holds the same pair scores the pruned solver would
-        compute (same kernel, bitwise-equal).
-        """
-        column = self._cache.scores_for_paper(paper_id)
-        problem = self._problem
-        rows = [problem.reviewer_index(rid) for rid in jra.reviewer_ids]
-        return column[rows]
 
     def _build_jra(
         self, paper: Paper, group_size: int, pool_size: int | None

@@ -170,10 +170,8 @@ def _make_brgg(**_: Any) -> CRASolver:
     return BestReviewerGroupGreedySolver()
 
 
-def _make_greedy(
-    prune: bool = True, prune_width: int | None = None, **_: Any
-) -> CRASolver:
-    return GreedySolver(prune=prune, prune_width=prune_width)
+def _make_greedy(**_: Any) -> CRASolver:
+    return GreedySolver()
 
 
 def _make_ratio_greedy(**_: Any) -> CRASolver:

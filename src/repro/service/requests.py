@@ -131,9 +131,6 @@ class JournalQuery(Request):
     top_k: int = 1
     solver: str = "BBA"
     pool_size: int | None = None
-    #: exact pruned-pool width (certified, result-preserving) — distinct
-    #: from the heuristic ``pool_size`` restriction
-    prune: int | None = None
 
     def __post_init__(self) -> None:
         if (self.paper_id is None) == (self.paper is None):
@@ -508,7 +505,7 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
                 fields["paper"] = paper_from_payload(payload["paper"])
             if "paper_id" in payload:
                 fields["paper_id"] = str(payload["paper_id"])
-            for name in ("group_size", "top_k", "pool_size", "prune"):
+            for name in ("group_size", "top_k", "pool_size"):
                 if payload.get(name) is not None:
                     fields[name] = int(payload[name])
             fields["solver"] = str(payload.get("solver", "BBA"))
@@ -576,7 +573,7 @@ def request_to_dict(request: Request) -> dict[str, Any]:
             payload["paper_id"] = request.paper_id
         if request.paper is not None:
             payload["paper"] = paper_to_payload(request.paper)
-        for name in ("group_size", "top_k", "pool_size", "prune"):
+        for name in ("group_size", "top_k", "pool_size"):
             value = getattr(request, name)
             if value is not None:
                 payload[name] = value

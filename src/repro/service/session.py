@@ -177,7 +177,6 @@ class EngineSession:
             and candidate.solver == reference.solver
             and candidate.top_k == reference.top_k
             and candidate.pool_size == reference.pool_size
-            and candidate.prune == reference.prune
         )
 
     def _dispatch_journal_batch(self, batch: list[JournalQuery]) -> list[Response]:
@@ -282,7 +281,6 @@ class EngineSession:
                 top_k=request.top_k,
                 solver=request.solver,
                 pool_size=request.pool_size,
-                prune=request.prune,
             )
             return answer.to_payload()
         if isinstance(request, AddPaper):

@@ -16,6 +16,8 @@ from repro.data.synthetic import make_problem
 from repro.exceptions import InfeasibleProblemError
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import create_solver
+from repro.service.requests import request_from_dict
+from repro.service.session import EngineSession
 from repro.store import SqliteProblemStore
 from tests.conformance import GRID, apply_chain, cold_clone, late_paper, make_instance
 from tests.oracles import LazyHeapGreedy, reference_solver
@@ -67,9 +69,11 @@ class TestSolveOptionsCannotSelectAnOracle:
     ``{"backend": "flow"}`` likewise sent SDGA's and Repair's stage
     assignments through a pure-Python min-cost flow (a 400x120x30 SDGA
     solve took 35.3 s against 0.106 s on a 2-vCPU VM, for the same
-    score).  The references now live
-    in ``tests/oracles``; the factories ignore all three options, so an
-    old client's request is accepted and answered by the one fast path.
+    score).  ``{"prune": false}`` switched off Greedy's pruned column
+    refresh, and ``prune_width`` resized its shortlist.  The references
+    now live in ``tests/oracles``; the factories ignore all five options,
+    so an old client's request is accepted and answered by the one fast
+    path.
     """
 
     INSTANCE = "tie-heavy-reviewer-coverage"
@@ -81,8 +85,17 @@ class TestSolveOptionsCannotSelectAnOracle:
             ("Greedy", {"use_dense": False, "lazy_heap": True}),
             ("SDGA", {"backend": "flow"}),
             ("Repair", {"backend": "flow"}),
+            ("Greedy", {"prune": False}),
+            ("Greedy", {"prune_width": 1}),
         ],
-        ids=["use_dense", "use_dense+lazy_heap", "SDGA-backend=flow", "Repair-backend=flow"],
+        ids=[
+            "use_dense",
+            "use_dense+lazy_heap",
+            "SDGA-backend=flow",
+            "Repair-backend=flow",
+            "Greedy-prune=false",
+            "Greedy-prune_width=1",
+        ],
     )
     def test_oracle_options_have_no_effect(self, solver, options):
         plain = AssignmentEngine(make_instance(GRID[self.INSTANCE])).solve(solver)
@@ -92,6 +105,36 @@ class TestSolveOptionsCannotSelectAnOracle:
         assert optioned.assignment == plain.assignment
         assert optioned.score == plain.score
         assert dict(optioned.stats) == dict(plain.stats)
+
+
+class TestJournalPruneHasNoEffect:
+    """A journal request's ``prune`` chose a second exact path.
+
+    ``{"prune": 16}`` first solved on the 16 best candidates by pair score
+    and then tried to certify that answer with a bound built from solo
+    pair scores.  On both serve workloads of the benchmark it never
+    certified, so every such query paid the restricted solve and then the
+    full one.  The pool search is gone.  The field is still accepted and
+    ignored, so the query is the same one solve as without it, and no
+    prune counter moves.
+    """
+
+    def test_old_client_prune_field_is_ignored(self):
+        # 24 candidates: more than the 16 the old pool search kept.
+        problem = make_problem(
+            num_papers=6, num_reviewers=24, num_topics=8, group_size=2, seed=4
+        )
+        session = EngineSession(AssignmentEngine(problem))
+        plain = {"kind": "journal", "paper_id": problem.paper_ids[1], "top_k": 2}
+        expected = session.dispatch(request_from_dict(plain))
+        before = session.engine.stats()["delta"]
+        answered = session.dispatch(request_from_dict({**plain, "prune": 16}))
+        after = session.engine.stats()["delta"]
+        assert answered.ok and expected.ok
+        assert answered.payload["groups"] == expected.payload["groups"]
+        assert answered.payload["shortlist"] == expected.payload["shortlist"]
+        assert after["prune_certified"] == before["prune_certified"]
+        assert after["prune_fallbacks"] == before["prune_fallbacks"]
 
 
 class TestStorelessEngineReportsNoStoreCounters:

@@ -381,10 +381,12 @@ class TestReviewFindings:
         assert calls == [(num_reviewers, 1)]
         _assert_pair_scores_match_oracle(engine.problem)
 
-    def test_unpruned_greedy_reports_no_prune_activity(self):
+    def test_full_width_greedy_reports_no_prune_activity(self):
+        # 16 reviewers: Greedy's default shortlist width covers the whole
+        # pool, so there is nothing to prune and nothing to count.
         problem = _instance(seed=8)
-        result = GreedySolver(prune=False).solve(problem)
-        assert result.stats["pruned"] is False
+        result = GreedySolver().solve(problem)
+        assert result.stats["prune_width"] == problem.num_reviewers
         assert result.stats["prune_certified"] == 0
         assert result.stats["prune_fallbacks"] == 0
 
@@ -447,19 +449,3 @@ class TestJraCacheConflictStaleness:
         engine.problem.conflicts.add(best_reviewer, paper_id)
         second = engine.journal_query(paper_id)
         assert best_reviewer not in second.best.reviewer_ids
-
-    def test_pruned_journal_query_is_exact_and_counted(self):
-        problem = _instance(seed=9, conflict_ratio=0.0)
-        engine = AssignmentEngine(problem)
-        paper_id = problem.paper_ids[1]
-        full = engine.journal_query(paper_id, top_k=2)
-        before = engine.problem.view_stats.prune_certified + (
-            engine.problem.view_stats.prune_fallbacks
-        )
-        pruned = engine.journal_query(paper_id, top_k=2, prune=6)
-        stats = engine.problem.view_stats
-        assert stats.prune_certified + stats.prune_fallbacks == before + 1
-        assert [g.score for g in pruned.groups] == [g.score for g in full.groups]
-        assert [g.reviewer_ids for g in pruned.groups] == [
-            g.reviewer_ids for g in full.groups
-        ]

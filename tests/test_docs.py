@@ -14,6 +14,7 @@ Three guarantees keep ``docs/`` honest as the code grows:
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -203,6 +204,15 @@ class TestCoverageOfRepoArtifacts:
         )
         documented = {_first_name(row) for row in rows}
         assert documented == set(_REQUEST_TYPES)
+        # Every field the parser fills, apart from the envelope (``id`` and
+        # ``seq`` on the wire), is named in its kind's row.
+        envelope = {"request_id", "client_seq"}
+        for row in rows:
+            kind = _first_name(row)
+            named = set(_names_in_cell(row[1]))
+            for field in dataclasses.fields(_REQUEST_TYPES[kind]):
+                if field.name not in envelope:
+                    assert field.name in named, f"{kind!r} row lacks `{field.name}`"
 
     def test_readme_names_every_request_kind(self):
         readme = _read(REPO_ROOT / "README.md")

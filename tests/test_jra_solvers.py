@@ -170,6 +170,19 @@ class TestTopK:
         assert len(shortlist) == 1
         assert shortlist[0].score == pytest.approx(best.score)
 
+    def test_configured_solver_is_used_as_is(self, tiny_jra_problem):
+        by_name = find_top_k_groups(tiny_jra_problem, k=3, method="bba")
+        configured = find_top_k_groups(
+            tiny_jra_problem, k=3, method=BranchAndBoundSolver(top_k=3)
+        )
+        assert configured == by_name
+        # A solver that keeps no heap answers with its one best group.
+        single = find_top_k_groups(
+            tiny_jra_problem, k=3, method=ConstraintProgrammingSolver()
+        )
+        assert [entry.rank for entry in single] == [1]
+        assert single[0].score == pytest.approx(by_name[0].score)
+
     def test_invalid_arguments(self, tiny_jra_problem):
         with pytest.raises(ConfigurationError):
             find_top_k_groups(tiny_jra_problem, k=0)
