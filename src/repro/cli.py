@@ -14,7 +14,8 @@ workflows:
   JSON-lines requests over stdio (one request per input line, one
   response per output line).
 * ``wgrap session``  — replay a scripted JSON-lines request file against a
-  fresh engine, with batching, and optionally snapshot the final state.
+  fresh engine through the same loop as ``serve``, and optionally
+  snapshot the final state.
 * ``wgrap wal``      — inspect a ``--wal-dir`` root offline: per-tenant
   checkpoint/last seqs, segment files, record counts and torn-tail bytes.
 * ``wgrap store``    — compile a JSON/CSV problem snapshot into a SQLite
@@ -51,8 +52,7 @@ from repro.metrics.quality import lowest_coverage_score, optimality_ratio
 from repro.parallel import DEFAULT_PORTFOLIO, ParallelConfig, run_portfolio
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import create_solver
-from repro.service.session import EngineSession, serve_stream
-from repro.service.requests import request_from_dict
+from repro.service.session import serve_stream
 
 __all__ = ["main", "build_parser"]
 
@@ -710,11 +710,6 @@ def _command_wal(args: argparse.Namespace) -> int:
 
 
 def _command_session(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.exceptions import RequestError
-    from repro.service.requests import Response
-
     if (args.problem is None) == (args.store is None):
         print(
             "error: session needs exactly one of a problem file or --store",
@@ -731,35 +726,22 @@ def _command_session(args: argparse.Namespace) -> int:
         engine = AssignmentEngine(
             load_problem(args.problem), parallel=_parallel_config(args)
         )
-    session = EngineSession(engine)
-    # Parse every line up front, keeping failures as error responses in
-    # script order, so one bad line never loses the whole replay.
-    slots: list[Response | None] = []
-    script = Path(args.requests).read_text(encoding="utf-8")
-    for line in script.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            session.submit(request_from_dict(json.loads(line)))
-            slots.append(None)
-        except json.JSONDecodeError as exc:
-            slots.append(Response.failure(kind="parse", error=f"invalid JSON: {exc}"))
-        except RequestError as exc:
-            slots.append(Response.failure(kind="parse", error=str(exc)))
-    drained = iter(session.drain())
-    responses = [slot if slot is not None else next(drained) for slot in slots]
-    rendered = "\n".join(json.dumps(response.to_dict()) for response in responses)
-    if args.output:
-        Path(args.output).write_text(rendered + "\n", encoding="utf-8")
-        print(f"wrote {len(responses)} responses to {args.output}")
-    else:
-        print(rendered)
-    if args.save_snapshot:
-        engine.save_snapshot(args.save_snapshot)
-        print(f"saved engine snapshot to {args.save_snapshot}")
-    if engine.store is not None:
-        engine.store.close()
+    lines = Path(args.requests).read_text(encoding="utf-8").splitlines()
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as output:
+                served = serve_stream(engine, lines, output)
+            print(f"wrote {served} responses to {args.output}")
+        else:
+            serve_stream(engine, lines, sys.stdout)
+        if args.save_snapshot:
+            engine.save_snapshot(args.save_snapshot)
+            print(f"saved engine snapshot to {args.save_snapshot}")
+    finally:
+        # As in ``serve``: only close() commits the SQLite transaction, so
+        # the store must close even when the snapshot write fails.
+        if engine.store is not None:
+            engine.store.close()
     return 0
 
 

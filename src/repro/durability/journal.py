@@ -124,7 +124,6 @@ class RecoveryOutcome:
     """A rebuilt engine plus everything the tenant needs to resume."""
 
     engine: AssignmentEngine
-    session: EngineSession
     replayed: dict[int, Response] = field(default_factory=dict)
     stats: RecoveryStats | None = None
 
@@ -364,9 +363,7 @@ class TenantJournal:
         registry.counter(
             "durability.dropped_bytes", "torn WAL suffix bytes dropped at recovery"
         ).inc(stats.dropped_bytes)
-        return RecoveryOutcome(
-            engine=engine, session=session, replayed=replayed, stats=stats
-        )
+        return RecoveryOutcome(engine=engine, replayed=replayed, stats=stats)
 
     # ------------------------------------------------------------------
     # Internals

@@ -1,10 +1,10 @@
 """Asyncio network front end for the serving subsystem.
 
 :mod:`repro.service` is a synchronous, single-engine stack: one
-:class:`~repro.service.engine.AssignmentEngine`, one batching
-:class:`~repro.service.session.EngineSession`, one blocking JSON-lines
-loop over stdio.  This package is the production-shaped layer above it —
-stdlib ``asyncio`` only, no new dependencies:
+:class:`~repro.service.engine.AssignmentEngine`, dispatched to through
+:class:`~repro.service.session.EngineSession`, behind one blocking
+JSON-lines loop over stdio.  This package is the production-shaped
+layer above it — stdlib ``asyncio`` only, no new dependencies:
 
 * :mod:`repro.net.server` — :class:`AssignmentServer`: a TCP JSON-lines
   server fielding many concurrent clients from one process, with
@@ -12,10 +12,10 @@ stdlib ``asyncio`` only, no new dependencies:
   drain/shutdown.
 * :mod:`repro.net.tenants` — multi-tenancy: one resident engine *per
   conference id*, each with its own single-thread executor so CPU-bound
-  solver work never blocks the event loop, and its own
-  :class:`~repro.service.session.EngineSession` lifted above the socket
-  layer so compatible journal queries from *different clients* coalesce
-  into one batched drain.
+  solver work never blocks the event loop.  The worker takes every
+  request queued by any client into one batch and serves them one at a
+  time through the same :meth:`EngineSession.dispatch
+  <repro.service.session.EngineSession.dispatch>` as the stdio loop.
 * :mod:`repro.net.admission` — bounded queue depth per tenant and per
   process; requests beyond the bound are answered immediately with the
   structured ``overloaded`` error type instead of growing the backlog.

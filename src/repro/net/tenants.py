@@ -1,24 +1,27 @@
 """Multi-tenancy: many resident engines, one per conference id.
 
 A tenant is one conference: an :class:`~repro.service.engine.AssignmentEngine`
-plus the :class:`~repro.service.session.EngineSession` batcher, a FIFO
-request queue, and a **single-thread executor**.  The shape answers the
-two constraints of serving CPU-bound solver work from an asyncio loop:
+plus the :class:`~repro.service.session.EngineSession` that dispatches to
+it, a FIFO request queue, and a **single-thread executor**.  The shape
+answers the two constraints of serving CPU-bound solver work from an
+asyncio loop:
 
 * solver work must not block the event loop — every batch runs in the
   tenant's worker thread via ``run_in_executor``, so accepts, parses and
   admission decisions stay responsive under long solves;
-* the engine and session are single-writer by design — one worker
-  thread per tenant serialises all access, so no engine-level locking is
-  needed and request effects apply in a well-defined total order (the
-  ``seq`` number echoed on every response).
+* the engine is single-writer by design — one worker thread per tenant
+  serialises all access, so no engine-level locking is needed and
+  request effects apply in a well-defined total order (the ``seq``
+  number echoed on every response).
 
-Cross-client batching falls out of the queue: whenever the worker wakes
-it drains *everything* queued at that moment — requests from any number
-of connections — through one :meth:`EngineSession.drain`, which is where
-compatible journal queries coalesce behind a single cache warm-up.  The
-batcher that PR 1 built for scripted replays is thereby lifted above the
-socket layer, exactly as the ROADMAP prescribes.
+Whenever the worker wakes it takes *everything* queued at that moment —
+requests from any number of connections — into one executor hop, and
+serves them one at a time, in queue order, through
+:meth:`EngineSession.dispatch`, the same path as the stdio loop.  A
+response therefore never depends on where a batch boundary fell, which
+is what makes the concurrent server bitwise-conformant with a serial
+replay.  The batch is the unit of one WAL fsync, one ``net.batch`` span
+and the ``service.net.batches`` / ``batched_requests`` counters.
 
 A tenant given a :class:`~repro.durability.TenantJournal` is **durable**:
 each mutation in a batch is appended to the write-ahead log *before* it
@@ -27,9 +30,10 @@ idempotency map without re-executing, and a crash anywhere in the worker
 triggers a supervised restart — rebuild the engine from checkpoint + WAL
 replay (``service.net.worker_restarts``), answer the in-flight batch from
 already-computed responses, replayed responses and fresh dispatches, and
-keep serving.  The durable batch attaches each response to its
-:class:`Pending` *as it is computed*, so a mid-batch crash loses nothing
-that was already answered.
+keep serving.  Every batch attaches each response to its :class:`Pending`
+*as it is computed*, so a mid-batch crash loses nothing that was already
+answered; a tenant without a journal answers the rest of a crashed batch
+with ``internal`` errors.
 """
 
 from __future__ import annotations
@@ -230,75 +234,43 @@ class Tenant:
                 except asyncio.QueueEmpty:
                     break
             try:
-                if self.journal is not None:
-                    responses = await loop.run_in_executor(
-                        self._executor, self._serve_batch_durable, batch
-                    )
-                else:
-                    requests = [pending.request for pending in batch]
-                    responses = await loop.run_in_executor(
-                        self._executor, self._serve_batch, requests
-                    )
+                responses = await loop.run_in_executor(
+                    self._executor, self._serve_batch_durable, batch
+                )
             except Exception as exc:  # noqa: BLE001 — the worker crashed
                 if self.journal is not None:
                     responses = await self._restart_worker(batch, exc)
                 else:
-                    responses = [
-                        Response.failure(
-                            kind=pending.request.kind,
-                            error=f"{type(exc).__name__}: {exc}",
-                            request_id=pending.request.request_id,
-                            error_type="internal",
-                        )
-                        for pending in batch
-                    ]
+                    responses = self._answer_unanswered(batch, exc)
             for pending, response in zip(batch, responses):
                 pending.response = response
                 if not pending.future.done():
                     pending.future.set_result(pending)
 
-    def _serve_batch(self, requests: list[Request]) -> list[Response]:
-        """Serve one drained batch in the tenant's worker thread.
-
-        The session guarantees responses are independent of batching
-        boundaries (batching only warms caches), which is what makes the
-        concurrent server bitwise-conformant with a serial replay.
-        """
-        registry = get_registry()
-        get_failpoints().hit("tenant_worker")
-        with TRACER.span("net.batch", tenant=self.tenant_id, size=len(requests)):
-            for request in requests:
-                self.session.submit(request)
-            responses = self.session.drain()
-        registry.counter(
-            "service.net.batches", "tenant-worker batch drains"
-        ).inc()
-        registry.counter(
-            "service.net.batched_requests", "requests served through batch drains"
-        ).inc(len(requests))
-        return responses
-
     # ------------------------------------------------------------------
-    # The durable path (journal-backed tenants)
+    # Serving (worker thread).  Both methods serve every tenant, with or
+    # without a journal; ``perfbench/pb_spans.py`` wraps them by these
+    # names, so a rename must land with a benchmark change.
     # ------------------------------------------------------------------
     def _serve_batch_durable(self, batch: list[Pending]) -> list[Response]:
-        """Serve one batch with write-ahead journaling (worker thread).
+        """Serve one drained batch in the tenant's worker thread.
 
-        Serial per request: dedupe check → WAL append (mutations only) →
-        dispatch → idempotency-map update → attach the response to its
-        :class:`Pending`.  The incremental attachment is what makes the
-        supervised restart lossless: a crash between requests reuses every
-        response already computed instead of recomputing (and re-applying)
-        the prefix.
+        Serial per request (:meth:`_serve_one_durable`), attaching each
+        response to its :class:`Pending` as it is computed: a crash
+        between requests then reuses every response already computed
+        instead of recomputing (and re-applying) the prefix.  A durable
+        tenant fsyncs the batch's WAL appends once at the end and
+        checkpoints when one is due.
         """
         registry = get_registry()
         get_failpoints().hit("tenant_worker")
         with TRACER.span("net.batch", tenant=self.tenant_id, size=len(batch)):
             for pending in batch:
                 pending.response = self._serve_one_durable(pending)
-            self.journal.sync_batch()
-            if self.journal.should_checkpoint:
-                self.journal.checkpoint(self.engine)
+            if self.journal is not None:
+                self.journal.sync_batch()
+                if self.journal.should_checkpoint:
+                    self.journal.checkpoint(self.engine)
         registry.counter(
             "service.net.batches", "tenant-worker batch drains"
         ).inc()
@@ -308,8 +280,13 @@ class Tenant:
         return [pending.response for pending in batch]
 
     def _serve_one_durable(self, pending: Pending) -> Response:
+        """Dedupe check → WAL append → dispatch → idempotency-map update.
+
+        Only dispatch runs without a journal; with one, the other steps
+        apply to mutations.
+        """
         request = pending.request
-        journaled = request.kind in MUTATION_KINDS
+        journaled = self.journal is not None and request.kind in MUTATION_KINDS
         if journaled and request.client_seq is not None:
             stored = self.journal.applied.get(request.client_seq)
             if stored is not None:
@@ -351,22 +328,27 @@ class Tenant:
                 self._executor, self._answer_after_restart, batch, outcome
             )
         except Exception as again:  # noqa: BLE001 — no restart loops
-            return [
-                pending.response
-                if pending.response is not None
-                else Response.failure(
-                    kind=pending.request.kind,
-                    error=f"{type(again).__name__}: {again}",
-                    request_id=pending.request.request_id,
-                    error_type="internal",
-                )
-                for pending in batch
-            ]
+            return self._answer_unanswered(batch, again)
+
+    @staticmethod
+    def _answer_unanswered(batch: list[Pending], exc: BaseException) -> list[Response]:
+        """Keep the responses already attached; the rest become ``internal``."""
+        return [
+            pending.response
+            if pending.response is not None
+            else Response.failure(
+                kind=pending.request.kind,
+                error=f"{type(exc).__name__}: {exc}",
+                request_id=pending.request.request_id,
+                error_type="internal",
+            )
+            for pending in batch
+        ]
 
     def _rebuild_from_journal(self):
         outcome = self.journal.recover(parallel=self.engine.parallel)
         self.engine = outcome.engine
-        self.session = outcome.session
+        self.session = EngineSession(outcome.engine)
         return outcome
 
     def _answer_after_restart(self, batch: list[Pending], outcome) -> list[Response]:
@@ -390,7 +372,6 @@ class Tenant:
             "num_papers": problem.num_papers,
             "num_reviewers": problem.num_reviewers,
             "has_assignment": self.engine.assignment is not None,
-            "journal_batches": self.session.stats()["session"]["journal_batches"],
             "closed": self.closed,
             "durable": self.journal is not None,
             "store_backed": self.engine.store is not None,

@@ -42,6 +42,7 @@ from repro.fault import FaultInjected, get_failpoints
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.service.requests import request_from_dict
+from repro.service.session import EngineSession
 
 TRACER = get_tracer()
 
@@ -92,7 +93,7 @@ class StandbyReplica:
         """Resume from this standby's own durable state (restart path)."""
         outcome = self.journal.recover()
         self.engine = outcome.engine
-        self.session = outcome.session
+        self.session = EngineSession(outcome.engine)
         self.applied_seq = outcome.stats.last_seq
 
     def install_snapshot(self, payload: dict[str, Any]) -> int:

@@ -4,8 +4,9 @@ Everything else in the library is batch: load a problem, solve, exit.
 This package is the resident counterpart, built for serving a stream of
 requests against one problem instance:
 
-* :mod:`repro.service.cache` — the lazily built, incrementally repaired
-  score matrix plus per-paper top-k reviewer indexes.
+* :mod:`repro.service.cache` — per-paper top-k reviewer rankings over
+  the score matrix that the problem chain owns and carries across
+  mutations.
 * :mod:`repro.service.registry` — string-keyed CRA/JRA solver registry
   (mirroring the scoring-function registry of :mod:`repro.core.scoring`).
 * :mod:`repro.service.requests` — the typed request/response API with
@@ -13,8 +14,9 @@ requests against one problem instance:
 * :mod:`repro.service.engine` — :class:`AssignmentEngine`: the resident
   problem, cache maintenance driven by core mutation events, journal
   queries, incremental mutations, evaluation and snapshots.
-* :mod:`repro.service.session` — the queued, batching front end and the
-  JSON-lines ``serve`` loop used by the CLI.
+* :mod:`repro.service.session` — :class:`EngineSession`, the one
+  request path every front end dispatches through, and the JSON-lines
+  loop behind ``wgrap serve`` and ``wgrap session``.
 
 The engine composes with the worker-pool execution layer of
 :mod:`repro.parallel`: construct it with a

@@ -23,8 +23,9 @@ work across requests:
 * conference solves, incremental mutations and evaluation all go through
   the string-keyed solver registry, so requests can name solvers.
 
-The request-queue front end lives in :mod:`repro.service.session`; this
-module is the synchronous engine underneath it.
+Requests reach the engine through
+:meth:`~repro.service.session.EngineSession.dispatch`, from every front
+end; this module is the synchronous engine underneath it.
 """
 
 from __future__ import annotations

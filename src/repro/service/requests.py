@@ -465,6 +465,9 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
     """
     if not isinstance(payload, Mapping):
         raise RequestError("a request must be a JSON object")
+    # A JSON ``null`` means "absent": a null field takes its default, and a
+    # null required field is missing, never the string "None".
+    payload = {key: value for key, value in payload.items() if value is not None}
     kind = payload.get("kind")
     if not isinstance(kind, str):
         raise RequestError("a request needs a string 'kind' field")
@@ -478,7 +481,7 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
     request_id = payload.get("id")
     fields: dict[str, Any] = {"request_id": request_id}
     try:
-        if payload.get("seq") is not None:
+        if "seq" in payload:
             client_seq = payload["seq"]
             if isinstance(client_seq, bool) or not isinstance(client_seq, int):
                 raise RequestError("'seq' must be an integer idempotency key")
@@ -494,7 +497,7 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
             if isinstance(solvers, (str, bytes)) or not isinstance(solvers, Iterable):
                 raise RequestError("'solvers' must be a list of solver names")
             fields["solvers"] = tuple(str(name) for name in solvers)
-            if payload.get("deadline") is not None:
+            if "deadline" in payload:
                 fields["deadline"] = float(payload["deadline"])
             options = payload.get("options", {})
             if not isinstance(options, Mapping):
@@ -506,7 +509,7 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
             if "paper_id" in payload:
                 fields["paper_id"] = str(payload["paper_id"])
             for name in ("group_size", "top_k", "pool_size"):
-                if payload.get(name) is not None:
+                if name in payload:
                     fields[name] = int(payload[name])
             fields["solver"] = str(payload.get("solver", "BBA"))
         elif request_type is AddPaper:
@@ -514,7 +517,7 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
                 raise RequestError("an add_paper request needs a 'paper'")
             fields["paper"] = paper_from_payload(payload["paper"])
             for name in ("reviewer_workload", "pool_size"):
-                if payload.get(name) is not None:
+                if name in payload:
                     fields[name] = int(payload[name])
         elif request_type is WithdrawReviewer:
             fields["reviewer_id"] = str(payload.get("reviewer_id", ""))
@@ -528,19 +531,19 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
         elif request_type is Metrics:
             fields["format"] = str(payload.get("format", "json"))
         elif request_type is Trace:
-            if payload.get("trace_id") is not None:
+            if "trace_id" in payload:
                 fields["trace_id"] = str(payload["trace_id"])
-            if payload.get("enable") is not None:
+            if "enable" in payload:
                 fields["enable"] = bool(payload["enable"])
         elif request_type is Fault:
-            if payload.get("site") is not None:
+            if "site" in payload:
                 fields["site"] = str(payload["site"])
-            if payload.get("mode") is not None:
+            if "mode" in payload:
                 fields["mode"] = str(payload["mode"])
             for name in ("n", "seed"):
-                if payload.get(name) is not None:
+                if name in payload:
                     fields[name] = int(payload[name])
-            if payload.get("probability") is not None:
+            if "probability" in payload:
                 fields["probability"] = float(payload["probability"])
             fields["reset"] = bool(payload.get("reset", False))
         return request_type(**fields)

@@ -2,16 +2,17 @@
 
 Two layers live here:
 
-* :class:`EngineSession` — a request queue with typed dispatch.  Queued
-  requests are drained in submission order, but runs of *compatible*
-  journal queries (same group size, solver, top-k and pool settings) are
-  batched: the score matrix is warmed once and the whole run is answered
-  against the same cache generation, which is where a read-heavy journal
-  workload spends its time.
-* :func:`serve_stream` — the JSON-lines loop behind ``wgrap serve``: one
-  request object per input line, one response object per output line.
-  Malformed lines produce ``ok: false`` responses instead of killing the
-  server; a ``{"kind": "shutdown"}`` request ends the loop.
+* :class:`EngineSession` — typed dispatch of one request with error
+  isolation.  Every front end (the stdio loop, ``wgrap session``, TCP
+  tenants with or without a write-ahead log, WAL recovery and the warm
+  standby) serves each request through :meth:`EngineSession.dispatch`.
+  The session keeps no state of its own: its counters are read back
+  from the engine's metrics registry.
+* :func:`serve_stream` — the JSON-lines loop behind ``wgrap serve`` and
+  ``wgrap session``: one request object per input line, one response
+  object per output line.  Malformed lines produce ``ok: false``
+  responses instead of killing the server; a ``{"kind": "shutdown"}``
+  request ends the loop.
 
 Every dispatched request is timed into the engine's metrics registry
 (``service.request.<kind>.seconds`` histograms, ``service.requests`` /
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
 from collections.abc import Iterable
 from typing import Any, TextIO
 
@@ -116,80 +116,22 @@ def classify_error(exc: BaseException) -> str:
 
 
 class EngineSession:
-    """A queued, batching request front end for one engine.
+    """Typed, error-isolated dispatch of requests to one engine.
 
-    The session is the unit a future multi-tenant server would hold per
-    client: it owns ordering, batching and error isolation, while the
-    engine owns state and caches.
+    The session holds nothing but the engine: ordering belongs to the
+    caller (a serving loop or a tenant's worker thread), state and caches
+    to the engine, and the dispatch counters to the engine's metrics
+    registry.  Any number of sessions over one engine therefore agree on
+    :meth:`stats`.
     """
 
     def __init__(self, engine: AssignmentEngine) -> None:
         self._engine = engine
-        self._queue: deque[Request] = deque()
-        self._counters: dict[str, int] = {
-            "submitted": 0,
-            "dispatched": 0,
-            "failed": 0,
-            "journal_batches": 0,
-            "batched_queries": 0,
-        }
-        self._error_types: dict[str, int] = {}
 
     @property
     def engine(self) -> AssignmentEngine:
         """The engine this session serves."""
         return self._engine
-
-    @property
-    def pending(self) -> int:
-        """Number of queued, not yet drained requests."""
-        return len(self._queue)
-
-    # ------------------------------------------------------------------
-    # Queueing
-    # ------------------------------------------------------------------
-    def submit(self, request: Request) -> None:
-        """Enqueue a request for the next :meth:`drain`."""
-        self._queue.append(request)
-        self._counters["submitted"] += 1
-
-    def drain(self) -> list[Response]:
-        """Serve every queued request, in order, batching journal runs."""
-        responses: list[Response] = []
-        while self._queue:
-            request = self._queue.popleft()
-            if isinstance(request, JournalQuery):
-                batch = [request]
-                while self._queue and self._is_compatible_journal(
-                    self._queue[0], request
-                ):
-                    batch.append(self._queue.popleft())
-                responses.extend(self._dispatch_journal_batch(batch))
-            else:
-                responses.append(self.dispatch(request))
-        return responses
-
-    @staticmethod
-    def _is_compatible_journal(candidate: Request, reference: JournalQuery) -> bool:
-        return (
-            isinstance(candidate, JournalQuery)
-            and candidate.group_size == reference.group_size
-            and candidate.solver == reference.solver
-            and candidate.top_k == reference.top_k
-            and candidate.pool_size == reference.pool_size
-        )
-
-    def _dispatch_journal_batch(self, batch: list[JournalQuery]) -> list[Response]:
-        if len(batch) > 1:
-            self._counters["journal_batches"] += 1
-            self._counters["batched_queries"] += len(batch)
-            # One warm-up serves the whole run: every query then reads the
-            # same cache generation without re-checking staleness.
-            try:
-                self._engine.warm()
-            except ReproError:
-                pass  # per-query dispatch will surface the error
-        return [self.dispatch(query) for query in batch]
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -208,7 +150,6 @@ class EngineSession:
         recorded as a ``request.<kind>`` span tree whose id the response
         carries as ``trace``.
         """
-        self._counters["dispatched"] += 1
         registry = self._engine.metrics_registry
         registry.counter("service.requests", "requests dispatched").inc()
         trace_id = TRACER.new_trace_id() if TRACER.enabled else None
@@ -230,10 +171,6 @@ class EngineSession:
             "per-kind request latency",
         ).observe(elapsed)
         if error is not None:
-            self._counters["failed"] += 1
-            self._error_types[error_type or "internal"] = (
-                self._error_types.get(error_type or "internal", 0) + 1
-            )
             registry.counter("service.failures", "requests that failed").inc()
             registry.counter(
                 f"service.errors.{error_type}", "failures by error type"
@@ -360,15 +297,29 @@ class EngineSession:
         }
 
     def stats(self) -> dict[str, Any]:
-        """Session counters merged with the engine's.
+        """Dispatch counters merged with the engine's stats.
 
-        The ``session`` block carries the dispatch counters plus the
-        current queue depth (``pending``) and per-``error_type`` failure
-        counts (``error_types``).
+        The ``session`` block reads the engine's metrics registry:
+        ``dispatched`` is ``service.requests``, ``failed`` is
+        ``service.failures`` and ``error_types`` holds the
+        ``service.errors.<error_type>`` counts.
         """
-        session: dict[str, Any] = dict(self._counters)
-        session["pending"] = self.pending
-        session["error_types"] = dict(self._error_types)
+        registry = self._engine.metrics_registry
+        prefix = "service.errors."
+
+        def count(name: str) -> int:
+            metric = registry.get(name)
+            return metric.value if metric is not None else 0
+
+        session = {
+            "dispatched": count("service.requests"),
+            "failed": count("service.failures"),
+            "error_types": {
+                name[len(prefix):]: metric.value
+                for name, metric in registry.items()
+                if name.startswith(prefix)
+            },
+        }
         return {"session": session, "engine": self._engine.stats()}
 
 

@@ -10,9 +10,10 @@ identically-built engine — and every response must come back
 
 This is the PR-5 conformance regime extended across the socket: it pins
 that the network layer adds routing, batching and concurrency without
-adding *any* semantics — cross-client batching only warms caches, the
-single worker thread is a faithful serializer, and error responses
-(infeasible mutations, unknown ids) are deterministic too.
+adding *any* semantics — a cross-client batch only groups requests per
+worker hop and serves each through the same dispatch, the single worker
+thread is a faithful serializer, and error responses (infeasible
+mutations, unknown ids) are deterministic too.
 """
 
 from __future__ import annotations

@@ -6,18 +6,22 @@ exposed the bug, so the fix cannot silently regress.
 
 from __future__ import annotations
 
+import io
+import json
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.entities import Paper, Reviewer
 from repro.core.problem import WGRAPProblem
 from repro.core.vectors import TopicVector
 from repro.data.synthetic import make_problem
-from repro.exceptions import InfeasibleProblemError
+from repro.exceptions import InfeasibleProblemError, RequestError
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import create_solver
 from repro.service.requests import request_from_dict
-from repro.service.session import EngineSession
+from repro.service.session import EngineSession, serve_stream
 from repro.store import SqliteProblemStore
 from tests.conformance import GRID, apply_chain, cold_clone, late_paper, make_instance
 from tests.oracles import LazyHeapGreedy, reference_solver
@@ -366,3 +370,83 @@ class TestOneScoreMatrix:
             assert np.shares_memory(
                 engine.cache.matrix(), engine.problem.pair_score_matrix()
             ), f"two matrices after {step}"
+
+
+class TestNullFieldsAreAbsent:
+    """A JSON ``null`` in a string field was parsed as the string "None".
+
+    ``request_from_dict`` coerced with ``str(payload.get(...))``, while
+    optional integers already treated ``null`` as absent.  So
+    ``{"kind": "snapshot", "path": null}`` answered ``ok: true`` and wrote
+    a snapshot to a file named ``None`` in the server's working
+    directory; ``"reviewer_id": null`` answered ``unknown_id`` for
+    reviewer ``'None'``; ``"solver": null`` was ``unknown_solver
+    'None'``; ``"include_ratio": null`` switched the ratio off; and a
+    journal request with ``"paper_id"`` and ``"paper": null`` was
+    rejected.  Null keys are now dropped before the per-kind parsing.
+    """
+
+    OPTIONAL = [
+        ({"kind": "solve"}, "solver"),
+        ({"kind": "journal", "paper_id": "p"}, "solver"),
+        ({"kind": "evaluate"}, "include_ratio"),
+        ({"kind": "journal", "paper_id": "p"}, "paper"),
+    ]
+
+    @pytest.mark.parametrize(("base", "field"), OPTIONAL)
+    def test_null_optional_field_parses_as_absent(self, base, field):
+        assert request_from_dict({**base, field: None}) == request_from_dict(base)
+
+    @pytest.mark.parametrize(
+        ("kind", "field"), [("snapshot", "path"), ("withdraw_reviewer", "reviewer_id")]
+    )
+    def test_null_required_field_is_missing(self, kind, field):
+        with pytest.raises(RequestError):
+            request_from_dict({"kind": kind})
+        with pytest.raises(RequestError):
+            request_from_dict({"kind": kind, field: None})
+
+    def test_null_snapshot_path_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        engine = AssignmentEngine(make_problem(num_papers=4, num_reviewers=4, seed=0))
+        output = io.StringIO()
+        serve_stream(engine, ['{"kind": "snapshot", "path": null, "id": 1}'], output)
+        response = json.loads(output.getvalue())
+        assert response["ok"] is False
+        assert response["error_type"] == "request"
+        assert response["id"] == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSessionStoreKeepsAcknowledgedMutations:
+    """``wgrap session --store`` lost mutations it had acknowledged.
+
+    The store was closed only after ``--save-snapshot`` succeeded, and
+    only ``close()`` commits the SQLite transaction: an ``update_bids``
+    answered ``ok: true``, a snapshot path in a missing directory then
+    raised, and the reopened store held no bids.  The store now closes in
+    a ``finally`` block, as ``wgrap serve`` closes it.
+    """
+
+    def test_failed_snapshot_still_commits_the_store(self, tmp_path):
+        problem = make_problem(num_papers=4, num_reviewers=4, seed=0)
+        store_path = tmp_path / "conf.db"
+        SqliteProblemStore.create(store_path, problem).close()
+        bid = [problem.reviewer_ids[0], problem.paper_ids[0], 1.0]
+        script = tmp_path / "script.jsonl"
+        script.write_text(json.dumps({"kind": "update_bids", "bids": [bid]}) + "\n")
+        responses = tmp_path / "responses.jsonl"
+        with pytest.raises(OSError):
+            main(
+                [
+                    "session", str(script), "--store", str(store_path),
+                    "--output", str(responses),
+                    "--save-snapshot", str(tmp_path / "missing" / "x.json"),
+                ]
+            )
+        assert json.loads(responses.read_text())["ok"] is True
+        store = SqliteProblemStore.open(store_path)
+        try:
+            assert store.load_bids() == (tuple(bid),)
+        finally:
+            store.close()

@@ -475,7 +475,6 @@ class TestObservabilityOverTheWire:
         )
         assert all("seconds" in r and r["seconds"] >= 0.0 for r in responses)
         session_stats = responses[-1]["payload"]["session"]
-        assert session_stats["pending"] == 0
         assert session_stats["failed"] == 1
         assert session_stats["error_types"] == {"unknown_id": 1}
         metrics = responses[-1]["payload"]["engine"]["metrics"]

@@ -4,8 +4,8 @@ Each test runs a *live* TCP server on a background event loop
 (:class:`tests.net_utils.ServerHarness`) and talks to it over real
 sockets, so the full path — accept, frame parse, tenant routing,
 admission, worker-thread execution, FIFO write-back — is exercised, not
-mocked.  Deterministic overload/batching tests gate the tenant's session
-drain on a :class:`threading.Event` instead of racing wall clocks.
+mocked.  Deterministic overload/batching tests gate the tenant's batch
+on a :class:`threading.Event` instead of racing wall clocks.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 
 from repro.data.io import problem_to_dict
 from repro.data.synthetic import make_problem
+from repro.fault import get_failpoints
 from repro.net import AdmissionController
 from repro.obs.metrics import get_registry
 from repro.service.engine import AssignmentEngine
@@ -39,17 +40,17 @@ def harness():
     h.stop()
 
 
-class GatedSession:
-    """Wraps a tenant's session so its drain blocks until released."""
+class GatedBatch:
+    """Wraps a tenant's batch so its worker blocks until released."""
 
     def __init__(self, tenant) -> None:
         self.gate = threading.Event()
-        self._orig_drain = tenant.session.drain
-        tenant.session.drain = self._gated_drain
+        self._orig_serve = tenant._serve_batch_durable
+        tenant._serve_batch_durable = self._gated_serve
 
-    def _gated_drain(self):
+    def _gated_serve(self, batch):
         assert self.gate.wait(HARD_TIMEOUT), "gate never released"
-        return self._orig_drain()
+        return self._orig_serve(batch)
 
     def release(self) -> None:
         self.gate.set()
@@ -256,7 +257,7 @@ class TestOverload:
         harness = ServerHarness(max_pending=2)
         tenant = harness.add_tenant("sigmod", small_engine(seed=0))
         harness.start()
-        gate = GatedSession(tenant)
+        gate = GatedBatch(tenant)
         refusals = get_registry().counter("service.net.overloaded").value
         try:
             with harness.client() as client:
@@ -303,13 +304,15 @@ class TestBatching:
         tenant = harness.add_tenant("sigmod", small_engine(seed=0))
         paper_ids = tenant.engine.problem.paper_ids
         harness.start()
-        gate = GatedSession(tenant)
-        before = get_registry().counter("service.net.batched_requests").value
+        gate = GatedBatch(tenant)
+        registry = get_registry()
+        batches = registry.counter("service.net.batches").value
+        batched = registry.counter("service.net.batched_requests").value
         try:
             clients = [harness.client() for _ in range(4)]
             try:
-                # Wake the worker with one query, then queue 8 compatible
-                # ones from four different connections while it is gated.
+                # Wake the worker with one query, then queue 8 more from
+                # four different connections while it is gated.
                 clients[0].send({"kind": "journal", "paper_id": paper_ids[0]})
                 for i in range(8):
                     clients[i % 4].send(
@@ -324,14 +327,28 @@ class TestBatching:
             finally:
                 for client in clients:
                     client.close()
-            stats = harness.call({"kind": "stats"})["payload"]["session"]
-            # the 8 gated queries arrived as one drain => one journal batch
-            assert stats["journal_batches"] >= 1
-            assert stats["batched_queries"] >= 2
-            after = get_registry().counter("service.net.batched_requests").value
-            assert after - before >= 9
+            # 9 requests from 4 connections in at most 2 worker hops: the
+            # 8 gated arrivals were drained together.
+            assert registry.counter("service.net.batched_requests").value - batched == 9
+            assert registry.counter("service.net.batches").value - batches <= 2
         finally:
             harness.stop()
+
+    def test_crashed_batch_without_a_journal_answers_internal(self, harness):
+        # A tenant without a WAL has nothing to restart from: the batch the
+        # worker crashed on is answered with internal errors, and the next
+        # batch is served normally.
+        get_failpoints().configure("tenant_worker", "once")
+        try:
+            failed = harness.call({"kind": "stats", "id": "crashed"})
+        finally:
+            get_failpoints().reset()
+        assert failed["ok"] is False
+        assert failed["error_type"] == "internal"
+        assert failed["id"] == "crashed"
+        assert harness.call({"kind": "stats"})["ok"] is True
+        tenant = harness.server.tenants.get("sigmod")
+        assert tenant.worker_restarts == 0
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +359,7 @@ class TestShutdown:
         harness = ServerHarness()
         tenant = harness.add_tenant("sigmod", small_engine(seed=0))
         harness.start()
-        gate = GatedSession(tenant)
+        gate = GatedBatch(tenant)
         try:
             worker = harness.client()
             controller = harness.client()

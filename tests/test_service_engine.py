@@ -21,7 +21,7 @@ from repro.jra import available_solvers as available_jra_solvers
 from repro.service.cache import ScoreMatrixCache
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import available_solvers, create_solver, solver_spec
-from repro.service.requests import JournalQuery, SolveRequest
+from repro.service.requests import JournalQuery
 from repro.service.session import EngineSession
 
 
@@ -361,30 +361,10 @@ class TestSnapshots:
             load_engine_snapshot(path)
 
 
-class TestSessionBatching:
-    def test_compatible_journal_runs_are_batched(self, engine):
-        session = EngineSession(engine)
-        for paper_id in engine.problem.paper_ids[:4]:
-            session.submit(JournalQuery(paper_id=paper_id))
-        session.submit(SolveRequest(solver="SDGA"))
-        responses = session.drain()
-        assert all(response.ok for response in responses)
-        stats = session.stats()["session"]
-        assert stats["journal_batches"] == 1
-        assert stats["batched_queries"] == 4
-
-    def test_incompatible_queries_break_the_batch(self, engine):
-        session = EngineSession(engine)
-        session.submit(JournalQuery(paper_id=engine.problem.paper_ids[0]))
-        session.submit(JournalQuery(paper_id=engine.problem.paper_ids[1], top_k=2))
-        responses = session.drain()
-        assert all(response.ok for response in responses)
-        assert session.stats()["session"]["journal_batches"] == 0
-
+class TestSessionDispatch:
     def test_failures_become_error_responses(self, engine):
         session = EngineSession(engine)
-        session.submit(JournalQuery(paper_id="nope"))
-        (response,) = session.drain()
+        response = session.dispatch(JournalQuery(paper_id="nope"))
         assert not response.ok
         assert "nope" in response.error
         assert session.stats()["session"]["failed"] == 1
