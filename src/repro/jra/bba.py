@@ -2,7 +2,7 @@
 
 This is the paper's exact JRA solver (Section 3, Algorithm 1).  The search
 space is the tree of reviewer combinations of depth ``delta_p``; BBA makes
-it practical with three ingredients:
+it practical with four ingredients:
 
 * **T sorted lists** — for every topic ``t`` the reviewers are pre-sorted
   by their expertise on ``t`` in descending order.
@@ -13,11 +13,27 @@ it practical with three ingredients:
   ``ub[t] = max(g[t], value at cursor t)``; if the coverage of that bound
   vector cannot beat the best group found so far, the branch is pruned and
   the search backtracks (Equation 3).
+* **The submodular completion bound** — Appendix B's scoring contract
+  (per-topic contributions summed independently, C.1, and non-decreasing
+  in expertise, C.2) makes group coverage monotone submodular.  A group
+  ``G`` that still has ``m`` members to pick therefore completes to at most
+  ``c(G)`` plus the ``m`` largest marginal gains over the reviewers not yet
+  visited — the only reviewers any completion in the subtree may use.
+  When the cursor bound fails to prune and the incumbent heap is full,
+  this bound is tried next; it prunes most of the branches the cursor
+  bound keeps, and its gains double as the branching gains of the node.
 
 The solver is exact: pruning only removes branches whose upper bound is no
-better than the incumbent.  Both the gain-based ordering and the bounding
-can be disabled individually, which is used by the ablation benchmark to
-quantify how much each contributes.
+better than the incumbent.  The completion bound is made float-safe (see
+:meth:`BranchAndBoundSolver._completion_bound` for the slack and its
+derivation), so it never removes a subtree holding a group the cursor-only
+search would record: the sequence of recorded incumbents, and with it the
+answer and the tie order of the ranked ``top_k`` list, is bitwise the
+cursor-only search's.  Only the search statistics (``nodes_expanded``,
+``prunings``, ``complete_groups_evaluated``) change.
+Both the gain-based ordering and the bounding can be disabled
+individually, which is used by the ablation benchmark to quantify how much
+each contributes; ``use_bound=False`` turns off both bounds.
 
 A ``top_k`` mode keeps the ``k`` best groups in a heap instead of a single
 incumbent (Figure 15); pruning then compares against the k-th best score.
@@ -28,10 +44,10 @@ lists come pre-computed (and cached across solves) from
 <repro.core.problem.JRAProblem.sorted_topic_lists>`, the per-node cursor
 advance checks all T fronts in one gather and falls into the per-topic
 walk only for the cursors actually blocked by a visited reviewer, and the
-candidate set is deduplicated in first-occurrence order.  The historical
-per-topic cursor loops are the conformance reference in ``tests/oracles``;
-both visit the identical search tree (same candidate order, same gains,
-same bounds) and return bitwise-equal results.
+candidate set is deduplicated in first-occurrence order.  ``tests/oracles``
+holds two references: the historical per-topic cursor loops (the
+identical search tree, node counts included) and the cursor-bound-only
+search (the paper's Algorithm 1 bounding, same answers, more nodes).
 """
 
 from __future__ import annotations
@@ -42,12 +58,27 @@ from typing import Any
 import numpy as np
 
 from repro.core.problem import JRAProblem
+from repro.core.scoring import ScoringFunction
 from repro.jra.base import JRASolver
 from repro.obs.trace import get_tracer
 
 TRACER = get_tracer()
 
 __all__ = ["BranchAndBoundSolver"]
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _coverage(
+    scoring: ScoringFunction,
+    vector: np.ndarray,
+    paper_vector: np.ndarray,
+    denominator: float,
+) -> float:
+    """The solver's score of a group vector: ``sum_t f(v[t], p[t]) / sum_t p[t]``."""
+    if denominator <= 0.0:
+        return 0.0
+    return float(scoring.topic_contribution(vector, paper_vector).sum()) / denominator
 
 
 class BranchAndBoundSolver(JRASolver):
@@ -61,7 +92,8 @@ class BranchAndBoundSolver(JRASolver):
         incumbent is replaced by a bounded heap and the result's
         ``stats["top_k"]`` lists the k best groups in descending order.
     use_bound:
-        Disable to skip the upper-bound pruning (ablation only).
+        Disable to skip the upper-bound pruning — the cursor bound and the
+        completion bound both (ablation only).
     use_gain_ordering:
         Disable to pick candidates in arbitrary (topic) order instead of by
         marginal gain (ablation only).
@@ -101,9 +133,7 @@ class BranchAndBoundSolver(JRASolver):
         sorted_reviewers, sorted_values = problem.sorted_topic_lists()
 
         def contribution(vector: np.ndarray) -> float:
-            if denominator <= 0.0:
-                return 0.0
-            return float(scoring.topic_contribution(vector, paper_vector).sum()) / denominator
+            return _coverage(scoring, vector, paper_vector, denominator)
 
         # visited_stage[r] == 0 means "feasible"; otherwise it records the
         # stage at which the reviewer was visited along the current path.
@@ -119,6 +149,7 @@ class BranchAndBoundSolver(JRASolver):
 
         nodes_expanded = 0
         prunings = 0
+        completion_prunings = 0
         complete_groups = 0
 
         # Incumbent bookkeeping: a bounded min-heap of the top_k best groups.
@@ -156,25 +187,49 @@ class BranchAndBoundSolver(JRASolver):
 
                 # Bounding: optimistic completion uses the best remaining value
                 # per topic (the value under each cursor).
+                completion_gains = None
                 if self._use_bound:
+                    threshold = incumbent_threshold()
                     cursor_values = np.where(
                         cursor < num_reviewers,
                         sorted_values[np.arange(num_topics), np.minimum(cursor, num_reviewers - 1)],
                         0.0,
                     )
                     upper_vector = np.maximum(group_vector, cursor_values)
-                    if contribution(upper_vector) <= incumbent_threshold() + 1e-15:
+                    if contribution(upper_vector) <= threshold + 1e-15:
                         prunings += 1
                         stage = self._backtrack(stage, visited_stage, members)
                         continue
+                    # The completion bound, once the threshold is finite.
+                    completion = None
+                    if len(incumbents) == self._top_k:
+                        completion = self._completion_bound(
+                            scoring,
+                            group_vector,
+                            reviewer_matrix,
+                            paper_vector,
+                            visited_stage == 0,
+                            group_size - stage + 1,
+                        )
+                    if completion is not None:
+                        bound, slack, completion_gains = completion
+                        if bound + slack <= threshold:
+                            prunings += 1
+                            completion_prunings += 1
+                            stage = self._backtrack(stage, visited_stage, members)
+                            continue
 
                 # Branching: evaluate the marginal gain of each candidate and
                 # pick the best (or simply the first candidate when ordering is
-                # disabled for the ablation study).
+                # disabled for the ablation study).  The completion bound's
+                # gains are the same gain_vector values, row for row.
                 if self._use_gain_ordering:
-                    gains = scoring.gain_vector(
-                        group_vector, reviewer_matrix[candidates], paper_vector
-                    )
+                    if completion_gains is not None:
+                        gains = completion_gains[candidates]
+                    else:
+                        gains = scoring.gain_vector(
+                            group_vector, reviewer_matrix[candidates], paper_vector
+                        )
                     chosen = candidates[int(np.argmax(gains))]
                 else:
                     chosen = candidates[0]
@@ -197,7 +252,11 @@ class BranchAndBoundSolver(JRASolver):
                     group_vectors[stage + 1] = extended_vector
                     cursors[stage + 1] = cursor.copy()
                     stage += 1
-            search_span.set(nodes_expanded=nodes_expanded, prunings=prunings)
+            search_span.set(
+                nodes_expanded=nodes_expanded,
+                prunings=prunings,
+                completion_prunings=completion_prunings,
+            )
 
         if not incumbents:
             # Degenerate but possible when group_size > 0 and the paper has
@@ -211,6 +270,7 @@ class BranchAndBoundSolver(JRASolver):
         stats: dict[str, Any] = {
             "nodes_expanded": nodes_expanded,
             "prunings": prunings,
+            "completion_prunings": completion_prunings,
             "complete_groups_evaluated": complete_groups,
         }
         if self._top_k > 1:
@@ -223,6 +283,77 @@ class BranchAndBoundSolver(JRASolver):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    @staticmethod
+    def _completion_bound(
+        scoring: ScoringFunction,
+        group_vector: np.ndarray,
+        reviewer_matrix: np.ndarray,
+        paper_vector: np.ndarray,
+        available: np.ndarray,
+        remaining: int,
+    ) -> tuple[float, float, np.ndarray] | None:
+        """The submodular completion bound of a partial group.
+
+        ``group_vector`` is the group's running maximum ``g``, ``available``
+        the boolean mask of the reviewers a completion may still use and
+        ``remaining`` the number ``m`` of members still to pick.  Returns
+        ``(bound, slack, gains)``: ``gains`` is ``scoring.gain_vector`` over
+        every row of ``reviewer_matrix`` (the search reads its candidates'
+        branching gains from it), ``bound`` is ``c(g)`` plus the sum of the
+        ``m`` largest available gains (each clipped at 0), and every
+        completion ``w`` of ``m`` available reviewers scores
+        ``_coverage(w) <= bound + slack``.  The search prunes on
+        ``bound + slack <= threshold``; a reference may return ``None`` to
+        skip the bound.
+
+        **Why it bounds.**  Write ``phi_t(x)`` for the *computed* per-topic
+        contribution ``topic_contribution(x, p[t])``.  It is non-negative
+        and non-decreasing in ``x`` (Appendix B's C.2; rounding is monotone,
+        and ``min``/``where`` are exact), so with ``N(x) = sum_t phi_t(x[t])``
+        summed exactly, ``phi_t(max(a, b)) = max(phi_t(a), phi_t(b))`` and
+        ``N(w) - N(g) <= sum_{r in S} (N(g v r) - N(g))`` for the group
+        vector ``w = g v r_1 v ... v r_m`` of any completion ``S``
+        (``v`` = element-wise max): ``N`` is monotone submodular.
+
+        **Slack.**  Let ``u = eps / 2`` be the unit roundoff and
+        ``gamma = (T - 1) u`` (first order).  Every sum here has
+        non-negative terms, so a summation of ``n`` terms in any order is
+        within ``(n - 1) u`` of its exact value, relatively.  Then, to first
+        order in ``u``:
+
+        * a completion's computed score is at most
+          ``(1 + T u) N(w) / D`` (the ``T``-term sum, then the division);
+        * ``N(g) / D <= (1 + T u) c(g)``, where ``c(g)`` is the computed
+          score of ``g``;
+        * one computed gain ``(sum(N(g v r)) - sum(N(g))) / D`` misses the
+          exact ``Delta_r / D`` by at most ``2 gamma N(g) / D`` (the two
+          ``T``-term sums, with ``N(g v r) = N(g) + Delta_r`` folded back)
+          plus ``(T + 1) u`` relative (that fold, the subtraction and the
+          division); over ``m`` members that is ``2 m (T - 1) u c(g)``;
+        * the ``m``-term sum ``h`` of the clipped gains is within
+          ``(m - 1) u`` relative of its exact sum, and ``bound = c(g) + h``
+          adds one more ``u``.
+
+        Collecting terms, every completion scores at most
+        ``bound + K u bound`` with ``K = max(2T + 2m(T - 1), 2T + m) + 1
+        <= 2T(m + 1) + 1``.  The slack is ``K eps bound = 2 K u bound``: the
+        second factor of ``u`` covers the second-order terms and the
+        rounding of ``bound + slack`` itself for any ``K u <= 1/4``, so the
+        bound never prunes a subtree holding a group that scores above the
+        threshold (barring underflow).  The cursor bound's ``+1e-15``,
+        which errs toward pruning, is not used here.
+        """
+        gains = scoring.gain_vector(group_vector, reviewer_matrix, paper_vector)
+        pool = gains[available]
+        if pool.size > remaining:
+            pool = np.partition(pool, pool.size - remaining)[pool.size - remaining:]
+        bound = _coverage(
+            scoring, group_vector, paper_vector, float(paper_vector.sum())
+        ) + float(np.maximum(pool, 0.0).sum())
+        num_topics = paper_vector.shape[0]
+        slack = (2 * (remaining + 1) * num_topics + 1) * _EPS * bound
+        return bound, slack, gains
+
     @staticmethod
     def _advance_front(
         cursor: np.ndarray,

@@ -13,7 +13,8 @@ small, self-contained CP solver:
 * search is depth-first with chronological backtracking and the kind of
   *generic* optimistic bound a black-box CP solver can derive — the best
   single-reviewer score times the number of open slots — rather than BBA's
-  per-topic cursor bound.
+  per-topic cursor bound and its submodular completion bound (the current
+  coverage plus the largest marginal gains still available).
 
 The solver is exact but, as in the paper, much slower than BBA; it also
 exposes ``first_solution_only`` to reproduce the "time to first feasible

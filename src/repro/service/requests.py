@@ -455,6 +455,18 @@ def _parse_bids(raw: Any) -> tuple[tuple[str, str, float], ...]:
     return tuple(bids)
 
 
+def _integer(payload: Mapping[str, Any], name: str) -> int:
+    """The integer field ``name``: a JSON integer, never coerced.
+
+    A float (even ``2.0``), a bool or a string raises :class:`RequestError`
+    instead of being truncated or parsed into an integer.
+    """
+    value = payload[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RequestError(f"{name!r} must be an integer, got {value!r}")
+    return value
+
+
 def request_from_dict(payload: Mapping[str, Any]) -> Request:
     """Parse one JSON-decoded request object into a typed request.
 
@@ -482,10 +494,7 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
     fields: dict[str, Any] = {"request_id": request_id}
     try:
         if "seq" in payload:
-            client_seq = payload["seq"]
-            if isinstance(client_seq, bool) or not isinstance(client_seq, int):
-                raise RequestError("'seq' must be an integer idempotency key")
-            fields["client_seq"] = client_seq
+            fields["client_seq"] = _integer(payload, "seq")
         if request_type is SolveRequest:
             fields["solver"] = str(payload.get("solver", "SDGA-SRA"))
             options = payload.get("options", {})
@@ -510,7 +519,7 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
                 fields["paper_id"] = str(payload["paper_id"])
             for name in ("group_size", "top_k", "pool_size"):
                 if name in payload:
-                    fields[name] = int(payload[name])
+                    fields[name] = _integer(payload, name)
             fields["solver"] = str(payload.get("solver", "BBA"))
         elif request_type is AddPaper:
             if "paper" not in payload:
@@ -518,7 +527,7 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
             fields["paper"] = paper_from_payload(payload["paper"])
             for name in ("reviewer_workload", "pool_size"):
                 if name in payload:
-                    fields[name] = int(payload[name])
+                    fields[name] = _integer(payload, name)
         elif request_type is WithdrawReviewer:
             fields["reviewer_id"] = str(payload.get("reviewer_id", ""))
         elif request_type is UpdateBids:
@@ -542,7 +551,7 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
                 fields["mode"] = str(payload["mode"])
             for name in ("n", "seed"):
                 if name in payload:
-                    fields[name] = int(payload[name])
+                    fields[name] = _integer(payload, name)
             if "probability" in payload:
                 fields["probability"] = float(payload["probability"])
             fields["reset"] = bool(payload.get("reset", False))

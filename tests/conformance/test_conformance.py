@@ -21,6 +21,7 @@ from tests.conformance import (
     make_instance,
 )
 from tests.oracles import REFERENCES, reference_solver
+from tests.oracles import CursorBoundBBAOracle
 
 CRA_SPECS = available_solver_specs("cra")
 JRA_SPECS = available_solver_specs("jra")
@@ -86,6 +87,59 @@ class TestFastPathEqualsReferenceBitwise:
             assert fast.score == reference.score
             # identical search tree: node counts and the ranked top-k too
             assert dict(fast.stats) == dict(reference.stats)
+
+
+#: A JRA-only family where BBA's completion bound prunes: every scoring at
+#: 30 topics and delta_p 3 and 4.  The grid alone seldom exercises the
+#: bound.  The cursor-bound-only reference explodes on reviewer_coverage,
+#: hence its smaller pool.
+BOUND_FAMILY: dict[str, dict] = {
+    f"{scoring}-dp{group_size}": dict(
+        num_papers=4,
+        num_reviewers=20 if scoring == "reviewer_coverage" else 40,
+        num_topics=30, group_size=group_size, reviewer_workload=4,
+        conflict_ratio=0.0, seed=11, scoring=scoring,
+    )
+    for scoring in ("weighted_coverage", "reviewer_coverage", "paper_coverage", "dot_product")
+    for group_size in (3, 4)
+}
+
+
+class TestCompletionBoundEqualsCursorBound:
+    """BBA == the cursor-bound-only search, bitwise, from no more nodes.
+
+    :class:`~tests.oracles.CursorBoundBBAOracle` skips the submodular
+    completion bound, which leaves the paper's Algorithm 1 pruning.  The
+    completion bound may only remove subtrees that hold no group the
+    cursor-only search records, so the groups, scores and ranked ``top_k``
+    lists are identical on every paper of every instance.
+    """
+
+    @staticmethod
+    def _node_counts(problem) -> list[tuple[int, int]]:
+        counts = []
+        for paper_id in problem.paper_ids:
+            jra = problem.to_jra(paper_id)
+            for top_k in (1, 3):
+                fast = create_solver("jra", "BBA", top_k=top_k).solve(jra)
+                reference = CursorBoundBBAOracle(top_k=top_k).solve(jra)
+                assert fast.reviewer_ids == reference.reviewer_ids
+                assert fast.score == reference.score  # bitwise, not approx
+                assert fast.stats.get("top_k") == reference.stats.get("top_k")
+                assert fast.stats["nodes_expanded"] <= reference.stats["nodes_expanded"]
+                counts.append((fast.stats["nodes_expanded"], reference.stats["nodes_expanded"]))
+        return counts
+
+    @pytest.mark.parametrize("instance_id", sorted(GRID))
+    def test_grid_answers_equal_cursor_bound_search(self, instance_id):
+        self._node_counts(make_instance(GRID[instance_id]))
+
+    @pytest.mark.parametrize("cell", sorted(BOUND_FAMILY))
+    def test_family_answers_equal_with_fewer_nodes(self, cell):
+        counts = self._node_counts(make_instance(BOUND_FAMILY[cell]))
+        assert any(fast < reference for fast, reference in counts), (
+            f"the completion bound never pruned on {cell!r}: {counts}"
+        )
 
 
 class TestDeltaEqualsColdRecompileBitwise:

@@ -450,3 +450,63 @@ class TestSessionStoreKeepsAcknowledgedMutations:
             assert store.load_bids() == (tuple(bid),)
         finally:
             store.close()
+
+
+class TestIntegerFieldsAreNotCoerced:
+    """Integer request fields were truncated or coerced silently.
+
+    ``request_from_dict`` applied a bare ``int(...)`` to seven fields, so
+    a journal ``"top_k": 2.9`` answered the top 2, ``"top_k": true`` the
+    top 1, ``"group_size": 2.5`` solved for groups of 2 and ``"3"`` was
+    read as 3; ``add_paper`` and ``fault`` had the same hole.  Only the
+    ``seq`` envelope field rejected anything but a non-bool ``int``.  All
+    eight now go through that one rule.
+    """
+
+    FIELDS = [
+        ({"kind": "journal", "paper_id": "paper-0000"}, "group_size"),
+        ({"kind": "journal", "paper_id": "paper-0000"}, "top_k"),
+        ({"kind": "journal", "paper_id": "paper-0000"}, "pool_size"),
+        (
+            {"kind": "add_paper", "paper": {"id": "late", "vector": [0.25, 0.25, 0.25, 0.25]}},
+            "reviewer_workload",
+        ),
+        (
+            {"kind": "add_paper", "paper": {"id": "late", "vector": [0.25, 0.25, 0.25, 0.25]}},
+            "pool_size",
+        ),
+        ({"kind": "fault", "site": "solver_call", "mode": "off"}, "n"),
+        ({"kind": "fault", "site": "solver_call", "mode": "off"}, "seed"),
+    ]
+
+    @staticmethod
+    def _serve(line: dict) -> dict:
+        problem = make_problem(
+            num_papers=4, num_reviewers=6, num_topics=4, group_size=2,
+            reviewer_workload=3, seed=0,
+        )
+        output = io.StringIO()
+        serve_stream(AssignmentEngine(problem), [json.dumps(line)], output)
+        return json.loads(output.getvalue())
+
+    IDS = [f"{base['kind']}-{field}" for base, field in FIELDS]
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    @pytest.mark.parametrize(("base", "field"), FIELDS, ids=IDS)
+    def test_non_integer_answers_a_request_error(self, base, field, value):
+        response = self._serve({**base, field: value, "id": 7})
+        assert response["ok"] is False
+        assert response["error_type"] == "request"
+        assert response["id"] == 7
+        assert field in response["error"]
+
+    @pytest.mark.parametrize(("base", "field"), FIELDS, ids=IDS)
+    def test_plain_integer_parses_as_before(self, base, field):
+        assert getattr(request_from_dict({**base, field: 2}), field) == 2
+
+    def test_integer_top_k_still_answers_ranked_groups(self):
+        response = self._serve(
+            {"kind": "journal", "paper_id": "paper-0000", "top_k": 2, "id": 1}
+        )
+        assert response["ok"] is True
+        assert [group["rank"] for group in response["payload"]["groups"]] == [1, 2]

@@ -28,6 +28,12 @@ assignment and the pairwise ILP's HiGHS LP) and
 driver's HiGHS relaxations) match on objective values, not on how ties
 are broken; :mod:`tests.oracles.store` is the in-RAM candidate scan the
 SQLite store's index is diffed against.
+
+BBA has a second reference off :data:`REFERENCES`:
+:class:`CursorBoundBBAOracle` overrides ``_completion_bound`` to skip the
+submodular completion bound, which leaves the paper's cursor-bound-only
+search (Algorithm 1).  It must give the same groups, scores and ranked
+``top_k`` lists as BBA, bitwise, from at least as many nodes.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ __all__ = [
     "BBAOracle",
     "BRGGOracle",
     "BidSDGAOracle",
+    "CursorBoundBBAOracle",
     "LazyHeapGreedy",
     "LocalSearchOracle",
     "NaiveGreedyOracle",
@@ -122,6 +129,14 @@ class BBAOracle(BranchAndBoundSolver):
     """BBA's reference: the per-topic cursor loops (identical search tree)."""
 
     _advance_front = staticmethod(advance_front_loops)
+
+
+class CursorBoundBBAOracle(BBAOracle):
+    """BBA pruning with the per-topic cursor bound alone (Equation 3)."""
+
+    @staticmethod
+    def _completion_bound(*_args):
+        return None
 
 
 class BRGGOracle(_ObjectRefill, BestReviewerGroupGreedySolver):
