@@ -2,11 +2,11 @@
 
 The object layer of :mod:`repro.core.problem` is the right API for
 building, validating and mutating instances, but it is the wrong layer to
-run a solver's inner loop on: scoring one candidate move through
-``problem.paper_score`` costs two string-keyed dict lookups, a
-``TopicVector`` allocation and a fresh fancy-index ``max`` — per call.
-Multiplied by the ``R x P`` candidate space of the CRA solvers, the object
-layer dominates the runtime long before the arithmetic does.
+run a solver's inner loop on: scoring one candidate move through the
+object API costs two string-keyed dict lookups, a ``TopicVector``
+allocation and a fresh fancy-index ``max`` — per call.  Multiplied by the
+``R x P`` candidate space of the CRA solvers, the object layer dominates
+the runtime long before the arithmetic does.
 
 :class:`DenseProblem` is the compiled counterpart, in the spirit of
 incremental view maintenance: the *static* structure of the instance
@@ -17,10 +17,11 @@ marginal gains of all reviewers for one paper in a single broadcast, batch
 stage-gain matrices, batch scoring of every replace/exchange candidate.
 
 All kernels are **exactly result-preserving**: they perform the same
-elementwise operations and the same reductions (in the same order) as the
-object-path methods they replace, so gains and scores are bitwise-equal to
-``problem.paper_score`` / ``ScoringFunction.gain_vector`` — a property the
-solvers rely on and ``tests/test_dense_kernels.py`` pins to 0 ulp.
+elementwise operations and the same reductions (in the same order) as
+``ScoringFunction.coverage`` / ``gain_vector``, so gains and scores are
+bitwise-equal to them and to the object-path reference in
+``tests/oracles/scoring.py`` — a property the solvers rely on and
+``tests/test_dense_kernels.py`` pins to 0 ulp.
 
 Obtain the view through :meth:`WGRAPProblem.dense_view
 <repro.core.problem.WGRAPProblem.dense_view>`, which caches it on the
@@ -194,8 +195,8 @@ class DenseProblem:
     ) -> np.ndarray:
         """``(P, T)`` aggregated group vector of every paper (writable copy).
 
-        Equals :meth:`WGRAPProblem.group_vector` row for row (the per-topic
-        ``max`` is exact whatever the member order).
+        The per-topic ``max`` over each paper's members (zero without
+        members) is exact whatever the member order.
         """
         if member_rows is None:
             member_rows = self.member_rows(assignment)
@@ -207,18 +208,11 @@ class DenseProblem:
         return vectors
 
     # ------------------------------------------------------------------
-    # Scoring kernels (bitwise-equal to the object path)
+    # Scoring kernels (bitwise-equal to ScoringFunction.coverage)
     # ------------------------------------------------------------------
     def paper_score(self, group_vector: np.ndarray, paper_idx: int) -> float:
-        """Coverage of one paper by a group vector (= ``problem.paper_score``)."""
-        total = self.paper_totals[paper_idx]
-        if total <= 0.0:
-            return 0.0
-        scoring = self.problem.scoring
-        numerator = scoring.topic_contribution(
-            group_vector, self.paper_matrix[paper_idx]
-        ).sum()
-        return float(numerator) / float(total)
+        """Coverage of one paper by a group vector."""
+        return self.problem.scoring.coverage(group_vector, self.paper_matrix[paper_idx])
 
     def paper_scores(self, group_vectors: np.ndarray) -> np.ndarray:
         """``(P,)`` coverage of every paper by its group vector."""
@@ -229,11 +223,11 @@ class DenseProblem:
         return scores
 
     def assignment_score(self, assignment: Assignment) -> float:
-        """Total coverage ``c(A)``, bitwise-equal to ``problem.assignment_score``.
+        """Total coverage ``c(A)`` of an assignment.
 
-        The object path sums per-paper scores left to right in paper order
-        with Python ``sum``; this method reproduces exactly that, only the
-        per-paper scores come from one batched kernel.
+        The per-paper scores come from one batched kernel and are summed
+        left to right in paper order with Python ``sum``, the summation
+        order of the object-path reference.
         """
         return float(sum(self.paper_scores(self.group_vectors(assignment)).tolist()))
 
@@ -322,9 +316,9 @@ class DenseProblem:
     def candidate_scores(self, group_vector: np.ndarray, paper_idx: int) -> np.ndarray:
         """``(R,)`` score of ``group + {candidate}`` for every candidate.
 
-        Entry ``c`` is bitwise-equal to ``problem.paper_score`` of the
-        group extended with reviewer ``c`` — the kernel behind batch
-        replace-move evaluation.
+        Entry ``c`` is bitwise-equal to :meth:`paper_score` of the group
+        extended with reviewer ``c`` — the kernel behind batch replace-move
+        evaluation.
         """
         total = self.paper_totals[paper_idx]
         if total <= 0.0:

@@ -23,7 +23,6 @@ from repro.core.assignment import Assignment
 from repro.core.constraints import ConflictOfInterest, WorkloadConstraints
 from repro.core.entities import Paper, Reviewer
 from repro.core.scoring import ScoringFunction, get_scoring_function
-from repro.core.vectors import TopicVector
 from repro.exceptions import (
     ConfigurationError,
     DimensionMismatchError,
@@ -486,32 +485,19 @@ class WGRAPProblem:
     # ------------------------------------------------------------------
     # Assignment evaluation
     # ------------------------------------------------------------------
-    def group_vector(self, assignment: Assignment, paper_id: str) -> np.ndarray:
-        """The aggregated expertise vector of a paper's assigned group.
-
-        Returns the zero vector when the paper has no reviewers yet.
-        """
-        reviewer_ids = assignment.reviewers_of(paper_id)
-        if not reviewer_ids:
-            return np.zeros(self._num_topics, dtype=np.float64)
-        rows = [self.reviewer_index(rid) for rid in reviewer_ids]
-        return self.reviewer_matrix[rows].max(axis=0)
-
-    def paper_score(self, assignment: Assignment, paper_id: str) -> float:
-        """Weighted coverage of one paper under the assignment."""
-        paper = self.paper_by_id(paper_id)
-        group_vector = TopicVector(self.group_vector(assignment, paper_id))
-        return self._scoring.score(group_vector, paper.vector)
-
     def assignment_score(self, assignment: Assignment) -> float:
-        """Total coverage score ``c(A)`` (the WGRAP objective)."""
-        return float(
-            sum(self.paper_score(assignment, paper.id) for paper in self._papers)
-        )
+        """Total coverage score ``c(A)`` (the WGRAP objective).
+
+        Read from the compiled view's batched kernel; an unknown reviewer
+        id raises :class:`KeyError`.
+        """
+        return self.dense_view().assignment_score(assignment)
 
     def paper_scores(self, assignment: Assignment) -> dict[str, float]:
-        """Per-paper coverage scores keyed by paper id."""
-        return {paper.id: self.paper_score(assignment, paper.id) for paper in self._papers}
+        """Per-paper coverage scores keyed by paper id, in paper order."""
+        view = self.dense_view()
+        scores = view.paper_scores(view.group_vectors(assignment))
+        return dict(zip(self.paper_ids, scores.tolist()))
 
     # ------------------------------------------------------------------
     # Assignment validation
@@ -987,12 +973,11 @@ class JRAProblem:
     # ------------------------------------------------------------------
     def group_score(self, reviewer_ids: Iterable[str]) -> float:
         """Coverage score of the group formed by the given reviewer ids."""
-        ids = list(reviewer_ids)
-        if not ids:
+        rows = [self.reviewer_index(rid) for rid in reviewer_ids]
+        if not rows:
             return 0.0
-        rows = [self.reviewer_index(rid) for rid in ids]
-        group_vector = TopicVector(self.reviewer_matrix[rows].max(axis=0))
-        return self._scoring.score(group_vector, self._paper.vector)
+        group_vector = self.reviewer_matrix[rows].max(axis=0)
+        return self._scoring.coverage(group_vector, self.paper_vector)
 
     def validate_group(self, reviewer_ids: Iterable[str]) -> None:
         """Check a candidate group for size, duplicates and exclusions.

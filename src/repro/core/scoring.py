@@ -57,6 +57,17 @@ __all__ = [
 ]
 
 
+def _checked_values(reviewer: TopicVector, paper: TopicVector) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of two topic vectors of the same length."""
+    reviewer = as_topic_vector(reviewer)
+    paper = as_topic_vector(paper)
+    if reviewer.num_topics != paper.num_topics:
+        raise DimensionMismatchError(
+            "reviewer and paper vectors must have the same number of topics"
+        )
+    return reviewer.values, paper.values
+
+
 class ScoringFunction(ABC):
     """Base class for submodular reviewer/paper scoring functions.
 
@@ -85,26 +96,32 @@ class ScoringFunction(ABC):
     # ------------------------------------------------------------------
     # Scalar interface
     # ------------------------------------------------------------------
+    def coverage(
+        self, group_vector: np.ndarray, paper_vector: np.ndarray, total: float | None = None
+    ) -> float:
+        """``sum_t f(g[t], p[t]) / sum_t p[t]`` on plain arrays (0 for zero mass).
+
+        The one scalar kernel of the objective; the batched kernels of
+        :mod:`repro.core.dense` perform the same operations row by row.  A
+        search scoring many groups against one paper passes the paper's
+        mass ``total`` (``float(paper_vector.sum())``) instead of re-summing.
+        """
+        if total is None:
+            total = float(paper_vector.sum())
+        if total <= 0.0:
+            return 0.0
+        return float(self.topic_contribution(group_vector, paper_vector).sum()) / total
+
     def numerator(self, reviewer: TopicVector, paper: TopicVector) -> float:
         """The un-normalised score of a reviewer (or group) vector."""
-        reviewer = as_topic_vector(reviewer)
-        paper = as_topic_vector(paper)
-        if reviewer.num_topics != paper.num_topics:
-            raise DimensionMismatchError(
-                "reviewer and paper vectors must have the same number of topics"
-            )
-        return float(self.topic_contribution(reviewer.values, paper.values).sum())
+        return float(self.topic_contribution(*_checked_values(reviewer, paper)).sum())
 
     def score(self, reviewer: TopicVector, paper: TopicVector) -> float:
-        """Normalised score ``numerator / sum_t p[t]``.
+        """Normalised score ``numerator / sum_t p[t]``, through :meth:`coverage`.
 
         A paper with zero topic mass scores zero against every reviewer.
         """
-        paper = as_topic_vector(paper)
-        denominator = paper.total()
-        if denominator <= 0.0:
-            return 0.0
-        return self.numerator(reviewer, paper) / denominator
+        return self.coverage(*_checked_values(reviewer, paper))
 
     def group_score(self, group_vectors: list[TopicVector] | TopicVector, paper: TopicVector) -> float:
         """Score of a whole reviewer group against a paper.

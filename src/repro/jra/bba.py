@@ -69,18 +69,6 @@ __all__ = ["BranchAndBoundSolver"]
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _coverage(
-    scoring: ScoringFunction,
-    vector: np.ndarray,
-    paper_vector: np.ndarray,
-    denominator: float,
-) -> float:
-    """The solver's score of a group vector: ``sum_t f(v[t], p[t]) / sum_t p[t]``."""
-    if denominator <= 0.0:
-        return 0.0
-    return float(scoring.topic_contribution(vector, paper_vector).sum()) / denominator
-
-
 class BranchAndBoundSolver(JRASolver):
     """Exact branch-and-bound JRA solver (the paper's BBA).
 
@@ -122,18 +110,15 @@ class BranchAndBoundSolver(JRASolver):
         scoring = problem.scoring
         reviewer_matrix = problem.reviewer_matrix
         paper_vector = problem.paper_vector
+        paper_total = problem.paper.vector.total()
         num_reviewers = problem.num_reviewers
         num_topics = problem.num_topics
         group_size = problem.group_size
-        denominator = float(paper_vector.sum())
 
         # T sorted lists: sorted_reviewers[t] lists reviewer indices by
         # expertise on topic t, descending; sorted_values[t] the weights —
         # cached on the problem so repeat solves skip the pre-sort.
         sorted_reviewers, sorted_values = problem.sorted_topic_lists()
-
-        def contribution(vector: np.ndarray) -> float:
-            return _coverage(scoring, vector, paper_vector, denominator)
 
         # visited_stage[r] == 0 means "feasible"; otherwise it records the
         # stage at which the reviewer was visited along the current path.
@@ -196,7 +181,8 @@ class BranchAndBoundSolver(JRASolver):
                         0.0,
                     )
                     upper_vector = np.maximum(group_vector, cursor_values)
-                    if contribution(upper_vector) <= threshold + 1e-15:
+                    upper = scoring.coverage(upper_vector, paper_vector, paper_total)
+                    if upper <= threshold + 1e-15:
                         prunings += 1
                         stage = self._backtrack(stage, visited_stage, members)
                         continue
@@ -241,7 +227,7 @@ class BranchAndBoundSolver(JRASolver):
 
                 if stage == group_size:
                     complete_groups += 1
-                    score = contribution(extended_vector)
+                    score = scoring.coverage(extended_vector, paper_vector, paper_total)
                     group = tuple(int(members[s]) for s in range(1, group_size + 1))
                     if score > incumbent_threshold() or len(incumbents) < self._top_k:
                         record_group(group, score)
@@ -302,7 +288,7 @@ class BranchAndBoundSolver(JRASolver):
         branching gains from it), ``bound`` is ``c(g)`` plus the sum of the
         ``m`` largest available gains (each clipped at 0), and every
         completion ``w`` of ``m`` available reviewers scores
-        ``_coverage(w) <= bound + slack``.  The search prunes on
+        ``scoring.coverage(w, p) <= bound + slack``.  The search prunes on
         ``bound + slack <= threshold``; a reference may return ``None`` to
         skip the bound.
 
@@ -347,9 +333,9 @@ class BranchAndBoundSolver(JRASolver):
         pool = gains[available]
         if pool.size > remaining:
             pool = np.partition(pool, pool.size - remaining)[pool.size - remaining:]
-        bound = _coverage(
-            scoring, group_vector, paper_vector, float(paper_vector.sum())
-        ) + float(np.maximum(pool, 0.0).sum())
+        bound = scoring.coverage(group_vector, paper_vector) + float(
+            np.maximum(pool, 0.0).sum()
+        )
         num_topics = paper_vector.shape[0]
         slack = (2 * (remaining + 1) * num_topics + 1) * _EPS * bound
         return bound, slack, gains

@@ -59,14 +59,9 @@ class ConstraintProgrammingSolver(JRASolver):
         scoring = problem.scoring
         reviewer_matrix = problem.reviewer_matrix
         paper_vector = problem.paper_vector
+        paper_total = problem.paper.vector.total()
         num_reviewers = problem.num_reviewers
         group_size = problem.group_size
-        denominator = float(paper_vector.sum())
-
-        def contribution(vector: np.ndarray) -> float:
-            if denominator <= 0.0:
-                return 0.0
-            return float(scoring.topic_contribution(vector, paper_vector).sum()) / denominator
 
         # The generic bound available to a black-box CP solver: no single
         # additional reviewer can add more than the best single-reviewer
@@ -76,7 +71,7 @@ class ConstraintProgrammingSolver(JRASolver):
             np.zeros(problem.num_topics), reviewer_matrix, paper_vector
         )
         best_single = float(single_scores.max(initial=0.0))
-        full_coverage = contribution(reviewer_matrix.max(axis=0))
+        full_coverage = scoring.coverage(reviewer_matrix.max(axis=0), paper_vector, paper_total)
 
         best_score = -np.inf
         best_group: tuple[int, ...] = ()
@@ -91,7 +86,7 @@ class ConstraintProgrammingSolver(JRASolver):
             """Depth-first search; returns True when the search must stop."""
             nonlocal best_score, best_group, nodes, exhausted, found_first
             if len(slots) == group_size:
-                score = contribution(group_stack[-1])
+                score = scoring.coverage(group_stack[-1], paper_vector, paper_total)
                 if score > best_score:
                     best_score = score
                     best_group = tuple(slots)
@@ -99,9 +94,8 @@ class ConstraintProgrammingSolver(JRASolver):
                 return self._first_solution_only
             remaining = group_size - len(slots)
             # Generic optimistic bound for the open slots.
-            optimistic = min(
-                contribution(group_stack[-1]) + remaining * best_single, full_coverage
-            )
+            current = scoring.coverage(group_stack[-1], paper_vector, paper_total)
+            optimistic = min(current + remaining * best_single, full_coverage)
             if optimistic <= best_score + 1e-15:
                 return False
             for candidate in range(start, num_reviewers - remaining + 1):
@@ -124,7 +118,9 @@ class ConstraintProgrammingSolver(JRASolver):
 
         if not best_group:
             best_group = tuple(range(group_size))
-            best_score = contribution(reviewer_matrix[list(best_group)].max(axis=0))
+            best_score = scoring.coverage(
+                reviewer_matrix[list(best_group)].max(axis=0), paper_vector
+            )
 
         reviewer_ids = tuple(problem.reviewer_ids[index] for index in best_group)
         is_optimal = exhausted and not self._first_solution_only

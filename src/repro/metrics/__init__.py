@@ -8,9 +8,7 @@ from repro.metrics.analysis import (
 )
 from repro.metrics.quality import (
     SuperiorityBreakdown,
-    coverage_score,
     lowest_coverage_score,
-    mean_coverage_score,
     optimality_ratio,
     superiority_ratio,
 )
@@ -21,9 +19,7 @@ __all__ = [
     "coverage_histogram",
     "paper_topic_coverage",
     "SuperiorityBreakdown",
-    "coverage_score",
     "lowest_coverage_score",
-    "mean_coverage_score",
     "optimality_ratio",
     "superiority_ratio",
 ]

@@ -61,10 +61,16 @@ class PaperCoverageReport:
 def paper_topic_coverage(
     problem: WGRAPProblem, assignment: Assignment, paper_id: str
 ) -> PaperCoverageReport:
-    """Break a paper's coverage down per topic, naming the best reviewer."""
+    """Break a paper's coverage down per topic, naming the best reviewer.
+
+    ``covered_weight`` is the scoring's contribution ``f(g[t], p[t])``.
+    """
     paper = problem.paper_by_id(paper_id)
     reviewer_ids = tuple(sorted(assignment.reviewers_of(paper_id)))
-    group_vector = problem.group_vector(assignment, paper_id)
+    view = problem.dense_view()
+    paper_idx = view.paper_pos[paper_id]
+    group_vector = view.group_vectors(assignment)[paper_idx]
+    covered = problem.scoring.topic_contribution(group_vector, paper.vector.values)
 
     entries: list[TopicCoverage] = []
     for topic in range(problem.num_topics):
@@ -82,7 +88,7 @@ def paper_topic_coverage(
                 topic=topic,
                 paper_weight=paper_weight,
                 group_weight=group_weight,
-                covered_weight=min(paper_weight, group_weight),
+                covered_weight=float(covered[topic]),
                 best_reviewer_id=best_reviewer,
             )
         )
@@ -95,7 +101,7 @@ def paper_topic_coverage(
         paper_title=paper.title,
         reviewer_ids=reviewer_ids,
         reviewer_names=reviewer_names,
-        score=problem.paper_score(assignment, paper_id),
+        score=view.paper_score(group_vector, paper_idx),
         topics=tuple(entries),
     )
 
@@ -103,13 +109,12 @@ def paper_topic_coverage(
 def coverage_histogram(
     problem: WGRAPProblem, assignment: Assignment, bins: int = 10
 ) -> list[tuple[float, float, int]]:
-    """Histogram of per-paper coverage scores as ``(low, high, count)`` rows."""
+    """Per-paper coverage scores binned over ``[0, max(1, top score)]``."""
     if bins < 1:
         raise ConfigurationError("bins must be at least 1")
-    scores = np.array(
-        [problem.paper_score(assignment, paper.id) for paper in problem.papers]
-    )
-    counts, edges = np.histogram(scores, bins=bins, range=(0.0, 1.0))
+    scores = np.array(list(problem.paper_scores(assignment).values()))
+    upper = max(1.0, float(scores.max()))
+    counts, edges = np.histogram(scores, bins=bins, range=(0.0, upper))
     return [
         (float(edges[index]), float(edges[index + 1]), int(count))
         for index, count in enumerate(counts)

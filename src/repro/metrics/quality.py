@@ -1,6 +1,7 @@
 """Assignment-quality metrics used in the paper's evaluation (Section 5).
 
-* **Coverage score** ``c(A)`` — the WGRAP objective itself.
+* **Coverage score** ``c(A)`` — the WGRAP objective itself
+  (``WGRAPProblem.assignment_score``).
 * **Optimality ratio** ``c(A) / c(AI)`` — quality relative to the ideal
   (workload-free) assignment; a lower bound of the true approximation
   ratio (Figure 10, 17, 18, 21).
@@ -20,18 +21,11 @@ from repro.cra.ideal import IdealAssignment, ideal_assignment
 from repro.exceptions import ConfigurationError
 
 __all__ = [
-    "coverage_score",
     "optimality_ratio",
     "SuperiorityBreakdown",
     "superiority_ratio",
     "lowest_coverage_score",
-    "mean_coverage_score",
 ]
-
-
-def coverage_score(problem: WGRAPProblem, assignment: Assignment) -> float:
-    """Total coverage score ``c(A)`` (convenience wrapper)."""
-    return problem.assignment_score(assignment)
 
 
 def optimality_ratio(
@@ -119,9 +113,9 @@ def superiority_ratio(
     if tolerance < 0:
         raise ConfigurationError("tolerance must be non-negative")
     wins = ties = losses = 0
-    for paper in problem.papers:
-        first_score = problem.paper_score(first, paper.id)
-        second_score = problem.paper_score(second, paper.id)
+    for first_score, second_score in zip(
+        problem.paper_scores(first).values(), problem.paper_scores(second).values()
+    ):
         if abs(first_score - second_score) <= tolerance:
             ties += 1
         elif first_score > second_score:
@@ -133,9 +127,4 @@ def superiority_ratio(
 
 def lowest_coverage_score(problem: WGRAPProblem, assignment: Assignment) -> float:
     """Coverage of the worst-served paper, ``min_p c(g_p, p)`` (Table 7)."""
-    return min(problem.paper_score(assignment, paper.id) for paper in problem.papers)
-
-
-def mean_coverage_score(problem: WGRAPProblem, assignment: Assignment) -> float:
-    """Average per-paper coverage (a convenient summary not in the paper)."""
-    return problem.assignment_score(assignment) / problem.num_papers
+    return min(problem.paper_scores(assignment).values())

@@ -42,7 +42,7 @@ from repro.fault import FaultInjected, get_failpoints
 from repro.obs.metrics import get_registry
 from repro.replication import REPLICATION_KINDS, ReplicationSender, StandbyCoordinator
 from repro.service.engine import AssignmentEngine
-from repro.service.requests import Response, request_from_dict
+from repro.service.requests import Response, _boolean, request_from_dict
 from repro.service.session import classify_error
 from repro.net.admission import AdmissionController
 from repro.net.tenants import Pending, Tenant, TenantManager
@@ -691,6 +691,8 @@ class AssignmentServer:
         tenant_id = payload.get("tenant")
         if not isinstance(tenant_id, str) or not tenant_id:
             raise RequestError("a create_tenant request needs a string 'tenant' id")
+        default = _boolean(payload, "default", False)
+        warm = _boolean(payload, "warm", False)
         if self.admission.draining:
             raise RequestError("server is draining; no new tenants are admitted")
         sources = [
@@ -711,7 +713,7 @@ class AssignmentServer:
                 tenant = self.tenants.register(
                     tenant_id,
                     outcome.engine,
-                    default=bool(payload.get("default", False)),
+                    default=default,
                     journal=journal,
                     first_seq=outcome.next_seq,
                 )
@@ -739,12 +741,12 @@ class AssignmentServer:
         tenant = self.tenants.register(
             tenant_id,
             engine,
-            default=bool(payload.get("default", False)),
+            default=default,
             journal=journal,
         )
         tenant.start()
         self._wire_shipping(tenant)
-        if payload.get("warm"):
+        if warm:
             await tenant.run_in_worker(engine.warm)
         return {"tenant": tenant_id, **tenant.describe()}
 

@@ -37,6 +37,7 @@ apply retried mutations exactly once:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
@@ -447,11 +448,11 @@ def _parse_bids(raw: Any) -> tuple[tuple[str, str, float], ...]:
     for entry in raw:
         try:
             reviewer_id, paper_id, value = entry
-            bids.append((str(reviewer_id), str(paper_id), float(value)))
         except (TypeError, ValueError):
             raise RequestError(
                 f"malformed bid entry {entry!r}; expected [reviewer_id, paper_id, value]"
             ) from None
+        bids.append((str(reviewer_id), str(paper_id), _number(value, "bid value")))
     return tuple(bids)
 
 
@@ -465,6 +466,28 @@ def _integer(payload: Mapping[str, Any], name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise RequestError(f"{name!r} must be an integer, got {value!r}")
     return value
+
+
+def _boolean(payload: Mapping[str, Any], name: str, default: bool) -> bool:
+    """The boolean field ``name`` (``default`` when absent): never coerced."""
+    value = payload.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise RequestError(f"{name!r} must be true or false, got {value!r}")
+    return value
+
+
+def _number(value: Any, name: str) -> float:
+    """A finite JSON integer or float, as a float; never a bool, string or NaN."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise RequestError(f"{name!r} must be a finite number, got {value!r}")
 
 
 def request_from_dict(payload: Mapping[str, Any]) -> Request:
@@ -507,7 +530,7 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
                 raise RequestError("'solvers' must be a list of solver names")
             fields["solvers"] = tuple(str(name) for name in solvers)
             if "deadline" in payload:
-                fields["deadline"] = float(payload["deadline"])
+                fields["deadline"] = _number(payload["deadline"], "deadline")
             options = payload.get("options", {})
             if not isinstance(options, Mapping):
                 raise RequestError("'options' must be a JSON object")
@@ -533,8 +556,8 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
         elif request_type is UpdateBids:
             fields["bids"] = _parse_bids(payload.get("bids"))
         elif request_type is Evaluate:
-            fields["include_ratio"] = bool(payload.get("include_ratio", True))
-            fields["include_per_paper"] = bool(payload.get("include_per_paper", False))
+            fields["include_ratio"] = _boolean(payload, "include_ratio", True)
+            fields["include_per_paper"] = _boolean(payload, "include_per_paper", False)
         elif request_type is Snapshot:
             fields["path"] = str(payload.get("path", ""))
         elif request_type is Metrics:
@@ -543,7 +566,7 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
             if "trace_id" in payload:
                 fields["trace_id"] = str(payload["trace_id"])
             if "enable" in payload:
-                fields["enable"] = bool(payload["enable"])
+                fields["enable"] = _boolean(payload, "enable", False)
         elif request_type is Fault:
             if "site" in payload:
                 fields["site"] = str(payload["site"])
@@ -553,8 +576,8 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
                 if name in payload:
                     fields[name] = _integer(payload, name)
             if "probability" in payload:
-                fields["probability"] = float(payload["probability"])
-            fields["reset"] = bool(payload.get("reset", False))
+                fields["probability"] = _number(payload["probability"], "probability")
+            fields["reset"] = _boolean(payload, "reset", False)
         return request_type(**fields)
     except RequestError:
         raise

@@ -15,9 +15,12 @@ import pytest
 from repro.cli import main
 from repro.core.entities import Paper, Reviewer
 from repro.core.problem import WGRAPProblem
+from repro.core.scoring import available_scoring_functions
 from repro.core.vectors import TopicVector
+from repro.data.io import problem_to_dict
 from repro.data.synthetic import make_problem
 from repro.exceptions import InfeasibleProblemError, RequestError
+from repro.metrics.analysis import coverage_histogram, paper_topic_coverage
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import create_solver
 from repro.service.requests import request_from_dict
@@ -25,6 +28,7 @@ from repro.service.session import EngineSession, serve_stream
 from repro.store import SqliteProblemStore
 from tests.conformance import GRID, apply_chain, cold_clone, late_paper, make_instance
 from tests.oracles import LazyHeapGreedy, reference_solver
+from tests.net_utils import ServerHarness
 
 
 class TestGreedyHeapTieDrift:
@@ -510,3 +514,139 @@ class TestIntegerFieldsAreNotCoerced:
         )
         assert response["ok"] is True
         assert [group["rank"] for group in response["payload"]["groups"]] == [1, 2]
+
+
+class TestBooleanAndNumberFieldsAreNotCoerced:
+    """Boolean and number request fields were coerced instead of checked.
+
+    ``request_from_dict`` applied ``bool(...)`` to ``evaluate``'s
+    ``include_ratio`` and ``include_per_paper``, ``trace``'s ``enable`` and
+    ``fault``'s ``reset``, so ``"include_ratio": "false"`` ran the ratio
+    (one BBA solve per paper for the ideal assignment), ``"enable":
+    "false"`` turned tracing on and ``"reset": "false"`` disarmed every
+    failpoint.  It applied ``float(...)`` to ``portfolio``'s ``deadline``,
+    ``fault``'s ``probability`` and each bid value: ``"deadline": "5"``
+    read as 5.0, ``true`` as 1.0, and a bid ``[r, p, true]`` recorded 1.0.
+    ``create_tenant`` read ``default`` through ``bool(...)`` and ``warm``
+    by truthiness.  A boolean field now takes only JSON ``true`` or
+    ``false``, a number field only a finite JSON number; anything else
+    answers ``error_type: "request"``.
+    """
+
+    BOOLEANS = [
+        ({"kind": "evaluate"}, "include_ratio"),
+        ({"kind": "evaluate"}, "include_per_paper"),
+        ({"kind": "trace"}, "enable"),
+        ({"kind": "fault"}, "reset"),
+    ]
+    NUMBERS = [
+        ({"kind": "portfolio", "solvers": ["Greedy"]}, "deadline"),
+        ({"kind": "fault", "site": "solver_call", "mode": "off"}, "probability"),
+    ]
+
+    _serve = staticmethod(TestIntegerFieldsAreNotCoerced._serve)
+
+    def _assert_request_error(self, line: dict, field: str) -> None:
+        response = self._serve({**line, "id": 7})
+        assert response["ok"] is False
+        assert response["error_type"] == "request"
+        assert response["id"] == 7
+        assert field in response["error"]
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1])
+    @pytest.mark.parametrize(
+        ("base", "field"), BOOLEANS, ids=[f"{b['kind']}-{f}" for b, f in BOOLEANS]
+    )
+    def test_non_boolean_answers_a_request_error(self, base, field, value):
+        self._assert_request_error({**base, field: value}, field)
+
+    @pytest.mark.parametrize("value", ["5", True, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        ("base", "field"), NUMBERS, ids=[f"{b['kind']}-{f}" for b, f in NUMBERS]
+    )
+    def test_non_number_answers_a_request_error(self, base, field, value):
+        self._assert_request_error({**base, field: value}, field)
+
+    @pytest.mark.parametrize("value", [True, "1", float("nan")])
+    def test_non_number_bid_answers_a_request_error(self, value):
+        bid = ["reviewer-0000", "paper-0000", value]
+        self._assert_request_error({"kind": "update_bids", "bids": [bid]}, "bid value")
+
+    @pytest.mark.parametrize(
+        ("base", "field"), BOOLEANS, ids=[f"{b['kind']}-{f}" for b, f in BOOLEANS]
+    )
+    def test_plain_booleans_parse_as_before(self, base, field):
+        for value in (True, False):
+            assert getattr(request_from_dict({**base, field: value}), field) is value
+
+    @pytest.mark.parametrize(
+        ("base", "field"), NUMBERS, ids=[f"{b['kind']}-{f}" for b, f in NUMBERS]
+    )
+    def test_plain_numbers_parse_as_before(self, base, field):
+        for value in (2, 0.5):
+            parsed = getattr(request_from_dict({**base, field: value}), field)
+            assert parsed == value and isinstance(parsed, float)
+        bids = request_from_dict({"kind": "update_bids", "bids": [["r", "p", 2]]}).bids
+        assert bids == (("r", "p", 2.0),)
+
+    def test_create_tenant_flags_are_checked_before_the_tenant_exists(self):
+        problem = make_problem(6, 8, num_topics=5, group_size=2, seed=4)
+        harness = ServerHarness().start()
+        try:
+            for field in ("warm", "default"):
+                response = harness.call(
+                    {
+                        "kind": "create_tenant",
+                        "tenant": "kdd",
+                        "problem": problem_to_dict(problem),
+                        field: "false",
+                    }
+                )
+                assert response["ok"] is False
+                assert response["error_type"] == "request"
+                assert field in response["error"]
+            assert "kdd" not in harness.call({"kind": "list_tenants"})["payload"]["tenants"]
+            created = harness.call(
+                {
+                    "kind": "create_tenant",
+                    "tenant": "kdd",
+                    "problem": problem_to_dict(problem),
+                    "warm": False,
+                    "default": True,
+                }
+            )
+            assert created["ok"] is True
+        finally:
+            harness.stop()
+
+
+class TestCoverageAnalysisFollowsTheScoring:
+    """``repro.metrics.analysis`` assumed weighted coverage.
+
+    ``paper_topic_coverage`` set ``covered_weight = min(paper_weight,
+    group_weight)`` whatever the scoring: on ``make_problem(20, 12,
+    num_topics=6, group_size=2, seed=3)`` solved with SDGA, the first
+    paper's covered weights summed to 1.0 of its mass under
+    ``reviewer_coverage`` against a reported score of 1.59, and to 0.99997
+    under ``dot_product`` against 0.635.  ``coverage_histogram`` binned
+    over ``[0, 1]`` and dropped higher scores: it counted 5 of the 40
+    papers of ``make_problem(40, 20, ..., scoring="reviewer_coverage")``.
+    A covered weight is now the scoring's ``topic_contribution`` and the
+    histogram's upper edge is ``max(1, largest score)``.
+    """
+
+    @pytest.mark.parametrize("scoring", available_scoring_functions())
+    def test_covered_weights_add_up_to_the_score(self, scoring):
+        problem = make_problem(20, 12, num_topics=6, group_size=2, seed=3, scoring=scoring)
+        assignment = create_solver("cra", "SDGA").solve(problem).assignment
+        for paper in problem.papers:
+            report = paper_topic_coverage(problem, assignment, paper.id)
+            covered = sum(topic.covered_weight for topic in report.topics)
+            assert covered / paper.vector.total() == pytest.approx(report.score, rel=1e-12)
+
+    @pytest.mark.parametrize("scoring", available_scoring_functions())
+    def test_histogram_counts_every_paper(self, scoring):
+        problem = make_problem(40, 20, num_topics=6, group_size=2, seed=3, scoring=scoring)
+        assignment = create_solver("cra", "SDGA").solve(problem).assignment
+        histogram = coverage_histogram(problem, assignment)
+        assert sum(count for _, _, count in histogram) == problem.num_papers

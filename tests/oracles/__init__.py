@@ -8,6 +8,13 @@ reference that uses only the object API (per-paper ``group_vector`` +
 lookups, ``paper_score``/``assignment_score``).  ``tests/conformance``
 requires fast path == reference, bitwise, on its whole grid.
 
+The scorers have a reference too: :mod:`tests.oracles.scoring` holds the
+object-path ``group_vector``, ``paper_score`` and ``assignment_score``
+that ``src/`` replaced with ``ScoringFunction.coverage`` and the compiled
+view's batched kernel.  The solver references score through it, and
+``tests/conformance/test_scoring_conformance.py`` diffs every scorer in
+``src/`` against it, bitwise, on the mutation chains.
+
 Each reference subclasses the registry solver and overrides a private
 method: the whole ``_solve`` / ``_refine`` where the search itself
 differs (the greedies, local search), or just the input builder where
@@ -38,6 +45,7 @@ search (Algorithm 1).  It must give the same groups, scores and ranked
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from typing import Any
 
@@ -51,6 +59,7 @@ from repro.cra.stable_matching import StableMatchingSolver
 from repro.extensions.bidding import BidAwareSDGASolver
 from repro.jra.bba import BranchAndBoundSolver
 from repro.service.registry import solver_spec
+from tests.oracles import scoring
 from tests.oracles.greedy import LazyHeapGreedy, NaiveGreedyOracle, RatioGreedyOracle
 from tests.oracles.inputs import (
     advance_front_loops,
@@ -112,7 +121,7 @@ class StochasticRefinerOracle(StochasticRefiner):
 
     @staticmethod
     def _scorer(problem):
-        return problem.assignment_score
+        return functools.partial(scoring.assignment_score, problem)
 
     @staticmethod
     def _refill_inputs(problem, assignment):

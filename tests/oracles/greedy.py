@@ -27,6 +27,7 @@ from repro.core.problem import WGRAPProblem
 from repro.cra.greedy import GreedySolver
 from repro.cra.ratio import RatioGreedySolver
 from repro.cra.repair import complete_assignment
+from tests.oracles import scoring as scoring_oracle
 from tests.oracles.inputs import object_refill
 
 __all__ = ["LazyHeapGreedy", "NaiveGreedyOracle", "RatioGreedyOracle"]
@@ -39,7 +40,7 @@ class NaiveGreedyOracle(GreedySolver):
         """The naive greedy evaluated entirely through the object layer.
 
         Every round re-scans every feasible pair: gains come from
-        per-paper :meth:`~repro.core.problem.WGRAPProblem.group_vector`
+        per-paper :func:`~tests.oracles.scoring.group_vector`
         + :meth:`~repro.core.scoring.ScoringFunction.gain_vector` calls and
         feasibility from per-pair ``is_feasible_pair`` checks, and the
         round picks the true argmax (ties on the smallest
@@ -62,7 +63,7 @@ class NaiveGreedyOracle(GreedySolver):
             for paper_idx, paper_id in enumerate(problem.paper_ids):
                 if assignment.group_size(paper_id) >= problem.group_size:
                     continue
-                group_vector = problem.group_vector(assignment, paper_id)
+                group_vector = scoring_oracle.group_vector(problem, assignment, paper_id)
                 gains[:, paper_idx] = scoring.gain_vector(
                     group_vector, reviewer_matrix, paper_matrix[paper_idx]
                 )
@@ -203,7 +204,7 @@ class RatioGreedyOracle(RatioGreedySolver):
             for paper_idx, paper_id in enumerate(problem.paper_ids):
                 if assignment.group_size(paper_id) >= problem.group_size:
                     continue
-                group_vector = problem.group_vector(assignment, paper_id)
+                group_vector = scoring_oracle.group_vector(problem, assignment, paper_id)
                 column = scoring.gain_vector(
                     group_vector, reviewer_matrix, paper_matrix[paper_idx]
                 )

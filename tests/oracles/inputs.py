@@ -1,7 +1,7 @@
 """Object-path builders of the inputs the fast paths compile.
 
 Each function computes, through the object API only (per-paper
-:meth:`~repro.core.problem.WGRAPProblem.group_vector` +
+:func:`~tests.oracles.scoring.group_vector` +
 :meth:`~repro.core.scoring.ScoringFunction.gain_vector` calls, per-pair
 :meth:`~repro.core.problem.WGRAPProblem.is_feasible_pair` string checks,
 ``ConflictOfInterest`` set lookups, Python loops), what a solver in
@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.assignment import Assignment
 from repro.core.problem import WGRAPProblem
 from repro.cra import repair
+from tests.oracles import scoring as scoring_oracle
 
 __all__ = [
     "advance_front_loops",
@@ -39,7 +40,7 @@ def stage_inputs_object(
     """Object-path construction of SDGA's per-stage inputs.
 
     One :meth:`~repro.core.scoring.ScoringFunction.gain_vector` call per
-    paper against its object-path :meth:`~repro.core.problem.WGRAPProblem.group_vector`,
+    paper against its object-path :func:`~tests.oracles.scoring.group_vector`,
     feasibility from per-pair :meth:`~repro.core.problem.WGRAPProblem.is_feasible_pair`
     checks — the pre-compilation semantics the dense kernel is pinned
     against.  ``stage_capped=False`` gives SRA's uncapped refill inputs.
@@ -53,7 +54,7 @@ def stage_inputs_object(
     forbidden = np.zeros((num_papers, num_reviewers), dtype=bool)
     loads = np.zeros(num_reviewers, dtype=np.int64)
     for paper_idx, paper_id in enumerate(problem.paper_ids):
-        group_vector = problem.group_vector(assignment, paper_id)
+        group_vector = scoring_oracle.group_vector(problem, assignment, paper_id)
         gains[paper_idx] = scoring.gain_vector(
             group_vector, reviewer_matrix, paper_matrix[paper_idx]
         )
@@ -88,7 +89,7 @@ def refill_inputs_object(
     gains = np.empty((len(missing), num_reviewers), dtype=np.float64)
     forbidden = np.zeros((len(missing), num_reviewers), dtype=bool)
     for row, paper_id in enumerate(missing):
-        group_vector = problem.group_vector(assignment, paper_id)
+        group_vector = scoring_oracle.group_vector(problem, assignment, paper_id)
         gains[row] = scoring.gain_vector(
             group_vector, reviewer_matrix, paper_matrix[problem.paper_index(paper_id)]
         )

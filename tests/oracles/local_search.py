@@ -2,8 +2,8 @@
 
 :class:`LocalSearchOracle` overrides :class:`~repro.cra.local_search.LocalSearchRefiner`'s
 ``_refine`` with the pre-dense hill-climb: every replace and exchange
-candidate is scored by mutating the assignment and calling
-:meth:`~repro.core.problem.WGRAPProblem.paper_score`.  It selects the
+candidate is scored by mutating the assignment and calling the
+object-path :func:`~tests.oracles.scoring.paper_score`.  It selects the
 identical moves as the dense search, and it is the refinement half of the
 dense-kernel benchmark's timing baseline.
 """
@@ -17,6 +17,7 @@ from repro.core.assignment import Assignment
 from repro.core.problem import WGRAPProblem
 from repro.cra.local_search import _TOLERANCE, LocalSearchRefiner
 from repro.obs.trace import get_tracer
+from tests.oracles.scoring import assignment_score, paper_score
 
 TRACER = get_tracer()
 
@@ -31,7 +32,7 @@ class LocalSearchOracle(LocalSearchRefiner):
     ) -> tuple[Assignment, dict[str, Any]]:
         """The pre-dense hill-climb over object-path ``paper_score`` calls."""
         current = assignment.copy()
-        current_score = problem.assignment_score(current)
+        current_score = assignment_score(problem, current)
         started = time.perf_counter()
         history: list[tuple[float, float]] = [(0.0, current_score)]
         moves_applied = 0
@@ -76,7 +77,7 @@ class LocalSearchOracle(LocalSearchRefiner):
         """The best improving move that touches ``paper_id`` (or ``None``)."""
         best_gain = 0.0
         best_move: tuple | None = None
-        current_score = problem.paper_score(assignment, paper_id)
+        current_score = paper_score(problem, assignment, paper_id)
         members = sorted(assignment.reviewers_of(paper_id))
         do_replace = self._moves in {"all", "replace"}
         do_exchange = self._moves in {"all", "exchange"}
@@ -134,7 +135,7 @@ class LocalSearchOracle(LocalSearchRefiner):
     ) -> float:
         assignment.remove(out_reviewer, paper_id)
         assignment.add(in_reviewer, paper_id)
-        new_score = problem.paper_score(assignment, paper_id)
+        new_score = paper_score(problem, assignment, paper_id)
         assignment.remove(in_reviewer, paper_id)
         assignment.add(out_reviewer, paper_id)
         return new_score - current_score
@@ -157,15 +158,15 @@ class LocalSearchOracle(LocalSearchRefiner):
             return None
         if not problem.is_feasible_pair(reviewer_a, paper_b):
             return None
-        before = problem.paper_score(assignment, paper_a) + problem.paper_score(
-            assignment, paper_b
+        before = paper_score(problem, assignment, paper_a) + paper_score(
+            problem, assignment, paper_b
         )
         assignment.remove(reviewer_a, paper_a)
         assignment.remove(reviewer_b, paper_b)
         assignment.add(reviewer_b, paper_a)
         assignment.add(reviewer_a, paper_b)
-        after = problem.paper_score(assignment, paper_a) + problem.paper_score(
-            assignment, paper_b
+        after = paper_score(problem, assignment, paper_a) + paper_score(
+            problem, assignment, paper_b
         )
         assignment.remove(reviewer_b, paper_a)
         assignment.remove(reviewer_a, paper_b)

@@ -22,6 +22,7 @@ from repro.exceptions import ConfigurationError
 from tests.conftest import exhaustive_optimal_assignment
 from tests.oracles import LazyHeapGreedy, NaiveGreedyOracle, StableMatchingOracle
 from tests.oracles.flow import PairwiseILPFlow, SDGAFlow
+from tests.oracles.scoring import paper_score
 
 ALL_SOLVERS = [
     StableMatchingSolver,
@@ -127,7 +128,7 @@ class TestSDGADetails:
         assert result.score == pytest.approx(
             problem.assignment_score(result.assignment)
         )
-        assert problem.paper_score(result.assignment, "p1") >= 0.6 - 1e-9
+        assert paper_score(problem, result.assignment, "p1") >= 0.6 - 1e-9
 
     def test_flow_backend_matches_hungarian_backend(self, small_problem):
         hungarian = StageDeepeningGreedySolver().solve(small_problem)

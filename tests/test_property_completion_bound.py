@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.scoring import available_scoring_functions, get_scoring_function
-from repro.jra.bba import BranchAndBoundSolver, _coverage
+from repro.jra.bba import BranchAndBoundSolver
 
 TIE_VALUES = np.array([0.0, 0.25, 0.5, 1.0])
 
@@ -66,13 +66,12 @@ def partial_groups(draw, remaining=None):
 
 def _completion_scores(scoring, reviewer_matrix, paper_vector, group_vector, available, remaining):
     """The solver's score of every completion by ``remaining`` available reviewers."""
-    denominator = float(paper_vector.sum())
     scores = []
     for completion in combinations(np.flatnonzero(available).tolist(), remaining):
         vector = group_vector
         for reviewer in completion:
             vector = np.maximum(vector, reviewer_matrix[reviewer])
-        scores.append(_coverage(scoring, vector, paper_vector, denominator))
+        scores.append(scoring.coverage(vector, paper_vector))
     return scores
 
 

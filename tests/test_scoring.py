@@ -164,6 +164,16 @@ class TestVectorisedInterfaces:
                 )
                 assert matrix[r, p] == pytest.approx(expected)
 
+    @pytest.mark.parametrize("name", available_scoring_functions())
+    def test_coverage_with_the_paper_mass_passed_in_is_bitwise_equal(self, name):
+        rng = np.random.default_rng(1)
+        scoring = get_scoring_function(name)
+        paper = rng.dirichlet(np.full(6, 0.5))
+        total = TopicVector(paper).total()
+        for group in rng.random((20, 6)):
+            assert scoring.coverage(group, paper, total) == scoring.coverage(group, paper)
+        assert scoring.coverage(np.ones(2), np.zeros(2), 0.0) == 0.0
+
 
 class TestRegistry:
     def test_default_is_weighted_coverage(self):
