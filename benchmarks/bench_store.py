@@ -1,18 +1,11 @@
-"""Storage-layer benchmark: indexed candidates, store-backed churn, and
-an out-of-core score-matrix build whose instance does not fit the RAM
-budget.
+"""Storage-layer benchmark: store-backed churn, and an out-of-core
+score-matrix build whose instance does not fit the RAM budget.
 
 Not a figure of the paper — this bench pins the acceptance bar of the
 ``repro.store`` layer (the paper's conference instances are curated
 offline; a *store-backed* engine must serve them without loading the
 whole instance into RAM):
 
-* **indexed candidate generation** — top-k reviewer shortlists answered
-  from the SQLite inverted topic index (``topic_candidates``) against the
-  in-RAM scan-and-score over the full reviewer pool (the
-  ``tests/oracles/store.py`` reference); shortlists must
-  agree (the index trades per-query latency for never materialising the
-  reviewer matrix in RAM — both latencies are reported);
 * **store-backed churn** — the identical interleaved request stream
   (solve / add-paper / withdraw / journal) replayed on an in-RAM engine
   and on a SQLite+memmap store-backed engine; every response must be
@@ -37,8 +30,6 @@ Environment knobs
     The RAM budget the dense matrix must exceed (default 48).
 ``REPRO_BENCH_STORE_BLOCK_COLS``
     Columns per memmap block (default 16; peak block RAM = R x this x 8).
-``REPRO_BENCH_STORE_POOL_REVIEWERS`` / ``REPRO_BENCH_STORE_QUERIES``
-    Candidate-generation pool size and query count (defaults 3000 / 40).
 ``REPRO_BENCH_STORE_CHURN_EVENTS``
     Interleaved churn events per engine (default 30).
 """
@@ -59,7 +50,6 @@ from repro.core.vectors import TopicVector
 from repro.experiments.reporting import ExperimentTable
 from repro.service.engine import AssignmentEngine
 from repro.store import MemmapScoreStore, SqliteProblemStore
-from tests.oracles.store import InMemoryProblemStore
 
 
 def _env_int(name: str, default: int) -> int:
@@ -87,43 +77,7 @@ def _make_problem(num_reviewers, num_papers, num_topics, group_size=3, workload=
 
 
 # ----------------------------------------------------------------------
-# Part 1: indexed candidate generation vs the historical scan
-# ----------------------------------------------------------------------
-def run_candidate_generation(tmp_dir: Path) -> dict:
-    pool = _env_int("REPRO_BENCH_STORE_POOL_REVIEWERS", 3000)
-    queries = _env_int("REPRO_BENCH_STORE_QUERIES", 40)
-    problem = _make_problem(pool, 40, 30)
-    rng = np.random.default_rng(bench_seed() + 1)
-    vectors = [TopicVector(rng.random(30)) for _ in range(queries)]
-
-    memory = InMemoryProblemStore(problem)
-    store = SqliteProblemStore.create(tmp_dir / "candidates.db", problem)
-    try:
-        started = time.perf_counter()
-        scanned = [memory.topic_candidates(v, limit=10) for v in vectors]
-        scan_elapsed = time.perf_counter() - started
-        started = time.perf_counter()
-        indexed = [store.topic_candidates(v, limit=10) for v in vectors]
-        index_elapsed = time.perf_counter() - started
-    finally:
-        store.close()
-    agree = all(
-        {rid for rid, _ in a} == {rid for rid, _ in b}
-        for a, b in zip(indexed, scanned)
-    )
-    return {
-        "pool_reviewers": pool,
-        "queries": queries,
-        "scan_seconds": scan_elapsed,
-        "index_seconds": index_elapsed,
-        "scan_per_query_ms": 1000.0 * scan_elapsed / queries,
-        "index_per_query_ms": 1000.0 * index_elapsed / queries,
-        "shortlists_agree": agree,
-    }
-
-
-# ----------------------------------------------------------------------
-# Part 2: store-backed churn vs the in-RAM engine, bitwise
+# Part 1: store-backed churn vs the in-RAM engine, bitwise
 # ----------------------------------------------------------------------
 def _drive(engine, late_papers, events):
     outputs = []
@@ -186,7 +140,7 @@ def run_store_churn(tmp_dir: Path) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Part 3: out-of-core build beyond the RAM budget
+# Part 2: out-of-core build beyond the RAM budget
 # ----------------------------------------------------------------------
 def run_out_of_core_build(tmp_dir: Path) -> dict:
     num_reviewers = _env_int("REPRO_BENCH_STORE_REVIEWERS", 20000)
@@ -239,27 +193,17 @@ def run_out_of_core_build(tmp_dir: Path) -> dict:
 
 
 def run_store_bench(tmp_dir: Path) -> tuple[ExperimentTable, dict]:
-    candidates = run_candidate_generation(tmp_dir)
     churn = run_store_churn(tmp_dir)
     oversize = run_out_of_core_build(tmp_dir)
 
     table = ExperimentTable(
         title=(
-            f"Problem store: {candidates['pool_reviewers']}-reviewer shortlist "
-            f"pool, {churn['events']}-event churn, "
+            f"Problem store: {churn['events']}-event churn, "
             f"{oversize['reviewers']}x{oversize['papers']} out-of-core build "
             f"({oversize['matrix_bytes'] / 1e6:.0f} MB matrix, "
             f"{oversize['ram_budget_bytes'] / 1e6:.0f} MB budget)"
         ),
         columns=["stage", "seconds", "detail"],
-    )
-    table.add_row(
-        "candidates: scan", candidates["scan_seconds"],
-        f"{candidates['scan_per_query_ms']:.2f} ms/query",
-    )
-    table.add_row(
-        "candidates: topic index", candidates["index_seconds"],
-        f"{candidates['index_per_query_ms']:.2f} ms/query",
     )
     table.add_row(
         "churn: in-RAM engine", churn["ram_seconds"],
@@ -275,7 +219,6 @@ def run_store_bench(tmp_dir: Path) -> tuple[ExperimentTable, dict]:
     )
     verdict = {
         "seed": bench_seed(),
-        "candidates": candidates,
         "churn": churn,
         "out_of_core": oversize,
     }
@@ -288,7 +231,6 @@ def test_store_bench(benchmark, tmp_path):
     )
     emit(table, "store_bench.csv")
     emit_bench_json(verdict, "BENCH_store.json")
-    assert verdict["candidates"]["shortlists_agree"], verdict["candidates"]
     assert verdict["churn"]["outputs_bitwise_identical"], verdict["churn"]
     assert verdict["churn"]["rebuilds"] == 0, verdict["churn"]
     oversize = verdict["out_of_core"]

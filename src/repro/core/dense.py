@@ -196,15 +196,21 @@ class DenseProblem:
         """``(P, T)`` aggregated group vector of every paper (writable copy).
 
         The per-topic ``max`` over each paper's members (zero without
-        members) is exact whatever the member order.
+        members) is exact whatever the member order.  One fixed-width
+        gather computes every paper at once: a short group is padded by
+        repeating its own rows, which leaves its ``max`` unchanged, and an
+        empty group's row is zeroed after the gather.
         """
         if member_rows is None:
             member_rows = self.member_rows(assignment)
-        vectors = np.zeros((self.num_papers, self.num_topics), dtype=np.float64)
-        reviewer_matrix = self.reviewer_matrix
-        for paper_idx, rows in enumerate(member_rows):
-            if rows:
-                np.max(reviewer_matrix[rows], axis=0, out=vectors[paper_idx])
+        width = max(map(len, member_rows), default=0)
+        if width == 0:
+            return np.zeros((self.num_papers, self.num_topics), dtype=np.float64)
+        index = np.array(
+            [((rows or [0]) * width)[:width] for rows in member_rows], dtype=np.intp
+        )
+        vectors = self.reviewer_matrix[index].max(axis=1)
+        vectors[np.array([not rows for rows in member_rows])] = 0.0
         return vectors
 
     # ------------------------------------------------------------------

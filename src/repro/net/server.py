@@ -34,7 +34,9 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-from typing import Any
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Any, ClassVar
 
 from repro.durability.journal import DurabilityConfig, TenantJournal
 from repro.exceptions import ConfigurationError, RequestError
@@ -42,12 +44,13 @@ from repro.fault import FaultInjected, get_failpoints
 from repro.obs.metrics import get_registry
 from repro.replication import REPLICATION_KINDS, ReplicationSender, StandbyCoordinator
 from repro.service.engine import AssignmentEngine
-from repro.service.requests import Response, _boolean, request_from_dict
+from repro.service.requests import Request, Response, decode_request, request_from_dict
+from repro.service.requests import wire_fields
 from repro.service.session import classify_error
 from repro.net.admission import AdmissionController
 from repro.net.tenants import Pending, Tenant, TenantManager
 
-__all__ = ["MANAGEMENT_KINDS", "AssignmentServer"]
+__all__ = ["MANAGEMENT_KINDS", "CreateTenant", "EvictTenant", "AssignmentServer"]
 
 #: Request kinds served by the server itself (no engine involved), with
 #: their contracts.  ``docs/service.md`` renders this table verbatim and
@@ -79,6 +82,47 @@ MANAGEMENT_KINDS: dict[str, str] = {
         "admitted requests, answer, close"
     ),
 }
+
+
+@dataclass(frozen=True)
+class _TenantRequest(Request):
+    tenant: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.tenant:
+            raise RequestError(f"a {self.kind} request needs a 'tenant' id")
+
+
+@dataclass(frozen=True)
+class CreateTenant(_TenantRequest):
+    """The ``create_tenant`` request, parsed by the engine requests' walk."""
+
+    kind: ClassVar[str] = "create_tenant"
+
+    problem: Mapping[str, Any] | None = None
+    problem_path: str | None = None
+    snapshot_path: str | None = None
+    store_path: str | None = None
+    warm: bool = False
+    default: bool = False
+
+
+@dataclass(frozen=True)
+class EvictTenant(_TenantRequest):
+    """The ``evict_tenant`` request, parsed by the engine requests' walk."""
+
+    kind: ClassVar[str] = "evict_tenant"
+
+    snapshot_path: str | None = None
+
+
+#: The management kinds with fields; the others take the envelope only.
+_MANAGEMENT_TYPES: dict[str, type[Request]] = {
+    "create_tenant": CreateTenant,
+    "evict_tenant": EvictTenant,
+}
+for _management_type in (Request, CreateTenant, EvictTenant):
+    wire_fields(_management_type)  # resolve every table at import, not per request
 
 # Out-queue item tags: per-connection response order is the queue order.
 _LINE = "line"  # (tag, response_dict) — answer known immediately
@@ -520,27 +564,23 @@ class AssignmentServer:
         request_id = payload.get("id")
         kind = payload.get("kind")
         if isinstance(kind, str) and kind in MANAGEMENT_KINDS:
+            try:
+                management = decode_request(_MANAGEMENT_TYPES.get(kind, Request), payload)
+            except RequestError as exc:
+                refuse(kind, str(exc), "request", request_id)
+                return
             task = asyncio.get_running_loop().create_task(
-                self._manage(str(kind), payload)
+                self._manage(kind, management)
             )
             out.put_nowait((_TASK, task, kind == "shutdown"))
             return
         if isinstance(kind, str) and kind in REPLICATION_KINDS:
             task = asyncio.get_running_loop().create_task(
-                self._replicate(str(kind), payload)
+                self._replicate(kind, payload)
             )
             out.put_nowait((_TASK, task, False))
             return
 
-        tenant_field = payload.get("tenant")
-        if tenant_field is not None and not isinstance(tenant_field, str):
-            refuse(
-                str(kind) if isinstance(kind, str) else "parse",
-                "'tenant' must be a string conference id",
-                "request",
-                request_id,
-            )
-            return
         try:
             request = request_from_dict(payload)
         except RequestError as exc:
@@ -564,7 +604,7 @@ class AssignmentServer:
             )
             return
         try:
-            tenant = self.tenants.resolve(tenant_field)
+            tenant = self.tenants.resolve(payload.get("tenant"))
         except (RequestError, KeyError) as exc:
             message = exc.args[0] if exc.args else str(exc)
             refuse(request.kind, str(message), classify_error(exc), request_id)
@@ -642,9 +682,9 @@ class AssignmentServer:
     # ------------------------------------------------------------------
     # Tenant management
     # ------------------------------------------------------------------
-    async def _manage(self, kind: str, payload: dict[str, Any]) -> dict[str, Any]:
-        """Serve one management request; failures become structured responses."""
-        request_id = payload.get("id")
+    async def _manage(self, kind: str, request: Request) -> dict[str, Any]:
+        """Serve one parsed management request; failures become structured responses."""
+        request_id = request.request_id
         try:
             if (
                 kind in ("create_tenant", "evict_tenant")
@@ -660,10 +700,10 @@ class AssignmentServer:
                     error_type="standby",
                     request_id=request_id,
                 ).to_dict()
-            if kind == "create_tenant":
-                body = await self._create_tenant(payload)
-            elif kind == "evict_tenant":
-                body = await self._evict_tenant(payload)
+            if isinstance(request, CreateTenant):
+                body = await self._create_tenant(request)
+            elif isinstance(request, EvictTenant):
+                body = await self._evict_tenant(request)
             elif kind == "list_tenants":
                 body = self._list_tenants()
             elif kind == "promote":
@@ -687,18 +727,14 @@ class AssignmentServer:
                 request_id=request_id,
             ).to_dict()
 
-    async def _create_tenant(self, payload: dict[str, Any]) -> dict[str, Any]:
-        tenant_id = payload.get("tenant")
-        if not isinstance(tenant_id, str) or not tenant_id:
-            raise RequestError("a create_tenant request needs a string 'tenant' id")
-        default = _boolean(payload, "default", False)
-        warm = _boolean(payload, "warm", False)
+    async def _create_tenant(self, request: CreateTenant) -> dict[str, Any]:
+        tenant_id = request.tenant
         if self.admission.draining:
             raise RequestError("server is draining; no new tenants are admitted")
         sources = [
             name
             for name in ("problem", "problem_path", "snapshot_path", "store_path")
-            if payload.get(name) is not None
+            if getattr(request, name) is not None
         ]
         if tenant_id in self.tenants:
             raise ConfigurationError(
@@ -713,7 +749,7 @@ class AssignmentServer:
                 tenant = self.tenants.register(
                     tenant_id,
                     outcome.engine,
-                    default=default,
+                    default=request.default,
                     journal=journal,
                     first_seq=outcome.next_seq,
                 )
@@ -734,56 +770,50 @@ class AssignmentServer:
                     else ""
                 )
             )
-        engine = await asyncio.to_thread(self._build_engine, sources[0], payload)
+        engine = await asyncio.to_thread(self._build_engine, request)
         journal = await asyncio.to_thread(
             self._journal_for_new_tenant, tenant_id, engine
         )
         tenant = self.tenants.register(
             tenant_id,
             engine,
-            default=default,
+            default=request.default,
             journal=journal,
         )
         tenant.start()
         self._wire_shipping(tenant)
-        if warm:
+        if request.warm:
             await tenant.run_in_worker(engine.warm)
         return {"tenant": tenant_id, **tenant.describe()}
 
     @staticmethod
-    def _build_engine(source: str, payload: dict[str, Any]) -> AssignmentEngine:
-        if source == "snapshot_path":
-            return AssignmentEngine.load(str(payload["snapshot_path"]))
-        if source == "store_path":
+    def _build_engine(request: CreateTenant) -> AssignmentEngine:
+        if request.snapshot_path is not None:
+            return AssignmentEngine.load(request.snapshot_path)
+        if request.store_path is not None:
             from repro.store.sqlite import SqliteProblemStore
 
             return AssignmentEngine.from_store(
-                SqliteProblemStore.open(str(payload["store_path"]))
+                SqliteProblemStore.open(request.store_path)
             )
-        if source == "problem_path":
+        if request.problem_path is not None:
             from repro.data.io import load_problem
 
-            return AssignmentEngine(load_problem(str(payload["problem_path"])))
+            return AssignmentEngine(load_problem(request.problem_path))
         from repro.data.io import problem_from_dict
 
-        problem = payload["problem"]
-        if not isinstance(problem, dict):
-            raise RequestError("'problem' must be a JSON problem object")
-        return AssignmentEngine(problem_from_dict(problem))
+        return AssignmentEngine(problem_from_dict(dict(request.problem)))
 
-    async def _evict_tenant(self, payload: dict[str, Any]) -> dict[str, Any]:
-        tenant_id = payload.get("tenant")
-        if not isinstance(tenant_id, str) or not tenant_id:
-            raise RequestError("an evict_tenant request needs a string 'tenant' id")
+    async def _evict_tenant(self, request: EvictTenant) -> dict[str, Any]:
+        tenant_id = request.tenant
         tenant = await self.tenants.evict(tenant_id)
         self.admission.forget(tenant_id)
-        snapshot_path = payload.get("snapshot_path")
         body: dict[str, Any] = {"tenant": tenant_id, "evicted": True}
-        if snapshot_path is not None:
+        if request.snapshot_path is not None:
             # The tenant is drained and its worker stopped: the engine is
             # quiescent, so snapshotting off-loop is safe.
             path = await asyncio.to_thread(
-                tenant.engine.save_snapshot, str(snapshot_path)
+                tenant.engine.save_snapshot, request.snapshot_path
             )
             body["snapshot_path"] = str(path)
         return body

@@ -3,9 +3,11 @@
 Every operation the engine serves has a small frozen dataclass here, plus
 dict codecs so the same request can arrive as a Python object (library
 users, :class:`~repro.service.session.EngineSession`) or as one JSON line
-(the ``wgrap serve`` loop).  Parsing is strict: an unknown kind, a missing
-field or a malformed paper payload raises :class:`RequestError`, which the
-serving loop turns into an ``ok: false`` response instead of dying.
+(the ``wgrap serve`` loop).  The wire format is declared once, in the
+dataclass fields (:func:`wire_fields`), and every codec walks that table.
+Parsing is strict: an unknown kind or field, a missing field or a value
+of another JSON type raises :class:`RequestError`, which the serving loop
+turns into an ``ok: false`` response instead of dying.
 
 The codecs round-trip, and defaults are made explicit on the way in:
 
@@ -37,10 +39,13 @@ apply retried mutations exactly once:
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Mapping
+import dataclasses
+import functools
+import sys
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from types import MappingProxyType, UnionType
+from typing import Any, ClassVar, NamedTuple, get_args, get_type_hints
 
 from repro.core.entities import Paper
 from repro.core.vectors import TopicVector
@@ -63,6 +68,11 @@ __all__ = [
     "Fault",
     "Response",
     "MUTATION_KINDS",
+    "ENVELOPE_FIELDS",
+    "LEGACY_FIELDS",
+    "WireField",
+    "wire_fields",
+    "decode_request",
     "request_from_dict",
     "request_to_dict",
     "paper_from_payload",
@@ -86,8 +96,8 @@ class Request:
 
     kind: ClassVar[str] = "abstract"
 
-    request_id: str | int | None = None
-    client_seq: int | None = None
+    request_id: str | int | None = field(default=None, metadata={"wire": "id", "as_given": True})
+    client_seq: int | None = field(default=None, metadata={"wire": "seq"})
 
 
 @dataclass(frozen=True)
@@ -385,7 +395,7 @@ class Response:
 
 
 # ----------------------------------------------------------------------
-# Dict codecs
+# Dict codecs: one wire table per request type
 # ----------------------------------------------------------------------
 _REQUEST_TYPES: dict[str, type[Request]] = {
     cls.kind: cls
@@ -406,28 +416,84 @@ _REQUEST_TYPES: dict[str, type[Request]] = {
     )
 }
 
+#: Top-level fields every kind accepts beyond its declared ones.  ``id`` and
+#: ``seq`` are :class:`Request` fields; ``kind`` and the TCP server's routing
+#: key ``tenant`` are strings that the caller reads.
+ENVELOPE_FIELDS: frozenset[str] = frozenset({"kind", "id", "seq", "tenant"})
+#: Fields an old client may still send, per kind, accepted and ignored: a
+#: journal query's ``prune`` chose a pool search that no longer exists.
+LEGACY_FIELDS: Mapping[str, frozenset[str]] = {"journal": frozenset({"prune"})}
+
+_LISTS = (list, tuple)
+_NUMBERS = frozenset({int, float})
+
+
+def _expect(
+    expected: str, accepts: Callable[[Any], bool], convert: Callable[[Any], Any] | None = None
+) -> Callable[[Any, str], Any]:
+    """A parser of the values ``accepts`` (then ``convert``-ed, if given);
+    any other value raises a :class:`RequestError` naming the field."""
+
+    def parse(value: Any, name: str) -> Any:
+        if not accepts(value):
+            raise RequestError(f"{name!r} must be {expected}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return parse
+
+
+_string = _expect("a string", lambda value: type(value) is str)
+_integer = _expect("an integer", lambda value: type(value) is int)
+_boolean = _expect("true or false", lambda value: type(value) is bool)
+_number = _expect(
+    "a finite number",
+    lambda value: type(value) in _NUMBERS and abs(value) <= sys.float_info.max,
+    float,
+)
+_object = _expect("a JSON object", lambda value: isinstance(value, Mapping), dict)
+_strings = _expect(
+    "a list of strings",
+    lambda value: type(value) in _LISTS and all(type(item) is str for item in value),
+    tuple,
+)
+_weights = _expect(
+    "a list of numbers",
+    lambda value: type(value) in _LISTS and _NUMBERS.issuperset(map(type, value)),
+)
+_bids = _expect(
+    "a list of [reviewer_id, paper_id, value] triples",
+    lambda value: type(value) in _LISTS
+    and all(
+        type(bid) in _LISTS and len(bid) == 3 and type(bid[0]) is type(bid[1]) is str
+        for bid in value
+    ),
+    lambda bids: tuple((r, p, _number(value, "bid value")) for r, p, value in bids),
+)
+#: The fields of a paper object (the ``papers`` entries of a problem file).
+_PAPER_FIELDS = {"id": _string, "vector": _weights, "title": _string, "abstract": _string}
+
 
 def paper_from_payload(payload: Mapping[str, Any]) -> Paper:
     """Build a :class:`Paper` from its JSON representation.
 
     The format matches the ``papers`` entries of the problem files written
-    by :mod:`repro.data.io`: ``{"id": ..., "vector": [...], "title": ...}``.
+    by :mod:`repro.data.io`: ``{"id": ..., "vector": [...], "title": ...,
+    "abstract": ...}``, each of its own JSON type and no other key.
     """
     if not isinstance(payload, Mapping):
-        raise RequestError("a paper must be a JSON object")
+        raise RequestError(f"'paper' must be a JSON object, got {payload!r}")
+    values: dict[str, Any] = {}
+    for key, value in payload.items():
+        if key not in _PAPER_FIELDS:
+            raise RequestError(f"a paper has no field {key!r}")
+        if value is not None:  # a null is absent
+            values[key] = _PAPER_FIELDS[key](value, f"paper {key}")
+    for key in ("id", "vector"):
+        if key not in values:
+            raise RequestError(f"a paper payload needs an {key!r} field")
     try:
-        paper_id = payload["id"]
-        vector = payload["vector"]
-    except KeyError as missing:
-        raise RequestError(f"a paper payload needs an {missing.args[0]!r} field") from None
-    try:
-        return Paper(
-            id=str(paper_id),
-            vector=TopicVector(vector),
-            title=str(payload.get("title", "")),
-            abstract=str(payload.get("abstract", "")),
-        )
-    except Exception as exc:  # vector shape/type problems become request errors
+        return Paper(**{**values, "vector": TopicVector(values["vector"])})
+    except Exception as exc:  # vector shape/value problems become request errors
         raise RequestError(f"malformed paper payload: {exc}") from exc
 
 
@@ -441,53 +507,73 @@ def paper_to_payload(paper: Paper) -> dict[str, Any]:
     }
 
 
-def _parse_bids(raw: Any) -> tuple[tuple[str, str, float], ...]:
-    if not isinstance(raw, Iterable) or isinstance(raw, (str, bytes, Mapping)):
-        raise RequestError("'bids' must be a list of [reviewer_id, paper_id, value]")
-    bids: list[tuple[str, str, float]] = []
-    for entry in raw:
-        try:
-            reviewer_id, paper_id, value = entry
-        except (TypeError, ValueError):
-            raise RequestError(
-                f"malformed bid entry {entry!r}; expected [reviewer_id, paper_id, value]"
-            ) from None
-        bids.append((str(reviewer_id), str(paper_id), _number(value, "bid value")))
-    return tuple(bids)
+#: Each annotation's parser and encoder (``None``: the value is its own JSON).
+_CODECS: dict[Any, tuple[Callable[[Any, str], Any], Callable[[Any], Any] | None]] = {
+    Any: (lambda value, name: value, None),
+    str: (_string, None),
+    int: (_integer, None),
+    bool: (_boolean, None),
+    float: (_number, None),
+    Mapping[str, Any]: (_object, dict),
+    tuple[str, ...]: (_strings, list),
+    Paper: (lambda value, name: paper_from_payload(value), paper_to_payload),
+    tuple[tuple[str, str, float], ...]: (_bids, lambda bids: [list(bid) for bid in bids]),
+}
 
 
-def _integer(payload: Mapping[str, Any], name: str) -> int:
-    """The integer field ``name``: a JSON integer, never coerced.
+class WireField(NamedTuple):
+    """One wire field: attribute ``name``, JSON key ``wire``, and the
+    ``annotation`` (less ``None``) that picked its ``parse`` and ``encode``."""
 
-    A float (even ``2.0``), a bool or a string raises :class:`RequestError`
-    instead of being truncated or parsed into an integer.
+    name: str
+    wire: str
+    annotation: Any
+    parse: Callable[[Any, str], Any]
+    encode: Callable[[Any], Any] | None
+
+
+@functools.cache
+def wire_fields(request_type: type[Request]) -> Mapping[str, WireField]:
+    """The wire table of a request dataclass, keyed by JSON field name.
+
+    Each annotation picks its codec; field metadata only renames a field
+    (``wire``) or echoes its value as given (``as_given``).
     """
-    value = payload[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise RequestError(f"{name!r} must be an integer, got {value!r}")
-    return value
+    hints = get_type_hints(request_type)
+    table: dict[str, WireField] = {}
+    for spec in dataclasses.fields(request_type):
+        annotation = Any if spec.metadata.get("as_given") else hints[spec.name]
+        if isinstance(annotation, UnionType):
+            (annotation,) = set(get_args(annotation)) - {type(None)}
+        wire = spec.metadata.get("wire", spec.name)
+        table[wire] = WireField(spec.name, wire, annotation, *_CODECS[annotation])
+    return MappingProxyType(table)  # cached and shared: read-only
 
 
-def _boolean(payload: Mapping[str, Any], name: str, default: bool) -> bool:
-    """The boolean field ``name`` (``default`` when absent): never coerced."""
-    value = payload.get(name)
-    if value is None:
-        return default
-    if not isinstance(value, bool):
-        raise RequestError(f"{name!r} must be true or false, got {value!r}")
-    return value
+for _request_type in _REQUEST_TYPES.values():
+    wire_fields(_request_type)  # resolve every table at import, not per request
 
 
-def _number(value: Any, name: str) -> float:
-    """A finite JSON integer or float, as a float; never a bool, string or NaN."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise RequestError(f"{name!r} must be a finite number, got {value!r}")
+def decode_request(request_type: type[Request], payload: Mapping[str, Any]) -> Request:
+    """Build ``request_type`` from a JSON object by one walk over its wire table.
+
+    A ``null`` is absent.  A key the type does not declare raises
+    :class:`RequestError`, unless it is an envelope or legacy field.
+    """
+    legacy = LEGACY_FIELDS.get(request_type.kind, frozenset())
+    table = wire_fields(request_type)
+    values: dict[str, Any] = {}
+    for key, value in payload.items():
+        if value is None:
+            continue
+        spec = table.get(key)
+        if spec is not None:
+            values[spec.name] = spec.parse(value, key)
+        elif key in ENVELOPE_FIELDS:
+            _string(value, key)
+        elif key not in legacy:
+            raise RequestError(f"a {payload.get('kind')!r} request has no field {key!r}")
+    return request_type(**values)
 
 
 def request_from_dict(payload: Mapping[str, Any]) -> Request:
@@ -496,150 +582,29 @@ def request_from_dict(payload: Mapping[str, Any]) -> Request:
     Raises
     ------
     RequestError
-        For unknown kinds, missing fields or malformed nested payloads.
+        For unknown kinds (matched exactly) or fields, missing fields, or a
+        value of another JSON type, nested paper and bid entries included.
     """
     if not isinstance(payload, Mapping):
         raise RequestError("a request must be a JSON object")
-    # A JSON ``null`` means "absent": a null field takes its default, and a
-    # null required field is missing, never the string "None".
-    payload = {key: value for key, value in payload.items() if value is not None}
     kind = payload.get("kind")
     if not isinstance(kind, str):
         raise RequestError("a request needs a string 'kind' field")
     try:
-        request_type = _REQUEST_TYPES[kind.lower()]
+        request_type = _REQUEST_TYPES[kind]
     except KeyError:
         raise RequestError(
             f"unknown request kind {kind!r}; known kinds: {sorted(_REQUEST_TYPES)}"
         ) from None
-
-    request_id = payload.get("id")
-    fields: dict[str, Any] = {"request_id": request_id}
-    try:
-        if "seq" in payload:
-            fields["client_seq"] = _integer(payload, "seq")
-        if request_type is SolveRequest:
-            fields["solver"] = str(payload.get("solver", "SDGA-SRA"))
-            options = payload.get("options", {})
-            if not isinstance(options, Mapping):
-                raise RequestError("'options' must be a JSON object")
-            fields["options"] = dict(options)
-        elif request_type is PortfolioSolve:
-            solvers = payload.get("solvers", [])
-            if isinstance(solvers, (str, bytes)) or not isinstance(solvers, Iterable):
-                raise RequestError("'solvers' must be a list of solver names")
-            fields["solvers"] = tuple(str(name) for name in solvers)
-            if "deadline" in payload:
-                fields["deadline"] = _number(payload["deadline"], "deadline")
-            options = payload.get("options", {})
-            if not isinstance(options, Mapping):
-                raise RequestError("'options' must be a JSON object")
-            fields["options"] = dict(options)
-        elif request_type is JournalQuery:
-            if "paper" in payload:
-                fields["paper"] = paper_from_payload(payload["paper"])
-            if "paper_id" in payload:
-                fields["paper_id"] = str(payload["paper_id"])
-            for name in ("group_size", "top_k", "pool_size"):
-                if name in payload:
-                    fields[name] = _integer(payload, name)
-            fields["solver"] = str(payload.get("solver", "BBA"))
-        elif request_type is AddPaper:
-            if "paper" not in payload:
-                raise RequestError("an add_paper request needs a 'paper'")
-            fields["paper"] = paper_from_payload(payload["paper"])
-            for name in ("reviewer_workload", "pool_size"):
-                if name in payload:
-                    fields[name] = _integer(payload, name)
-        elif request_type is WithdrawReviewer:
-            fields["reviewer_id"] = str(payload.get("reviewer_id", ""))
-        elif request_type is UpdateBids:
-            fields["bids"] = _parse_bids(payload.get("bids"))
-        elif request_type is Evaluate:
-            fields["include_ratio"] = _boolean(payload, "include_ratio", True)
-            fields["include_per_paper"] = _boolean(payload, "include_per_paper", False)
-        elif request_type is Snapshot:
-            fields["path"] = str(payload.get("path", ""))
-        elif request_type is Metrics:
-            fields["format"] = str(payload.get("format", "json"))
-        elif request_type is Trace:
-            if "trace_id" in payload:
-                fields["trace_id"] = str(payload["trace_id"])
-            if "enable" in payload:
-                fields["enable"] = _boolean(payload, "enable", False)
-        elif request_type is Fault:
-            if "site" in payload:
-                fields["site"] = str(payload["site"])
-            if "mode" in payload:
-                fields["mode"] = str(payload["mode"])
-            for name in ("n", "seed"):
-                if name in payload:
-                    fields[name] = _integer(payload, name)
-            if "probability" in payload:
-                fields["probability"] = _number(payload["probability"], "probability")
-            fields["reset"] = _boolean(payload, "reset", False)
-        return request_type(**fields)
-    except RequestError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise RequestError(f"malformed {kind!r} request: {exc}") from exc
+    return decode_request(request_type, payload)
 
 
 def request_to_dict(request: Request) -> dict[str, Any]:
-    """JSON-serialisable representation of a typed request."""
+    """JSON-serialisable representation of a typed request: every field
+    that is not ``None``, under its wire name."""
     payload: dict[str, Any] = {"kind": request.kind}
-    if request.request_id is not None:
-        payload["id"] = request.request_id
-    if request.client_seq is not None:
-        payload["seq"] = request.client_seq
-    if isinstance(request, SolveRequest):
-        payload["solver"] = request.solver
-        if request.options:
-            payload["options"] = dict(request.options)
-    elif isinstance(request, PortfolioSolve):
-        if request.solvers:
-            payload["solvers"] = list(request.solvers)
-        if request.deadline is not None:
-            payload["deadline"] = request.deadline
-        if request.options:
-            payload["options"] = dict(request.options)
-    elif isinstance(request, JournalQuery):
-        if request.paper_id is not None:
-            payload["paper_id"] = request.paper_id
-        if request.paper is not None:
-            payload["paper"] = paper_to_payload(request.paper)
-        for name in ("group_size", "top_k", "pool_size"):
-            value = getattr(request, name)
-            if value is not None:
-                payload[name] = value
-        payload["solver"] = request.solver
-    elif isinstance(request, AddPaper):
-        payload["paper"] = paper_to_payload(request.paper)
-        if request.reviewer_workload is not None:
-            payload["reviewer_workload"] = request.reviewer_workload
-        if request.pool_size is not None:
-            payload["pool_size"] = request.pool_size
-    elif isinstance(request, WithdrawReviewer):
-        payload["reviewer_id"] = request.reviewer_id
-    elif isinstance(request, UpdateBids):
-        payload["bids"] = [list(bid) for bid in request.bids]
-    elif isinstance(request, Evaluate):
-        payload["include_ratio"] = request.include_ratio
-        payload["include_per_paper"] = request.include_per_paper
-    elif isinstance(request, Snapshot):
-        payload["path"] = request.path
-    elif isinstance(request, Metrics):
-        payload["format"] = request.format
-    elif isinstance(request, Trace):
-        if request.trace_id is not None:
-            payload["trace_id"] = request.trace_id
-        if request.enable is not None:
-            payload["enable"] = request.enable
-    elif isinstance(request, Fault):
-        for name in ("site", "mode", "n", "probability", "seed"):
-            value = getattr(request, name)
-            if value is not None:
-                payload[name] = value
-        if request.reset:
-            payload["reset"] = True
+    for spec in wire_fields(type(request)).values():
+        value = getattr(request, spec.name)
+        if value is not None:
+            payload[spec.wire] = value if spec.encode is None else spec.encode(value)
     return payload

@@ -1,4 +1,4 @@
-"""Problem storage: SQLite + inverted index, optionally with memmap blocks.
+"""Problem storage: SQLite, optionally with memmap blocks.
 
 A problem without a store keeps its entities on itself; binding a
 :class:`SqliteProblemStore` moves them into a normalized SQLite file.

@@ -7,10 +7,10 @@ translates ``add_paper`` / ``remove_reviewer`` events and conflict
 changelog tails into incremental index updates, never a rebuild.
 
 The implementation is :class:`repro.store.sqlite.SqliteProblemStore`: a
-normalized SQLite schema (stdlib ``sqlite3``) with an inverted topic
-index, so candidate generation becomes an indexed range query instead of
-a scan.  A problem no store tracks keeps its entities in RAM and scans
-its own reviewers (:meth:`~repro.core.problem.WGRAPProblem.candidate_reviewers`).
+normalized SQLite schema (stdlib ``sqlite3``) whose conflict index turns
+candidate generation into an indexed anti-join instead of a scan.  A
+problem no store tracks keeps its entities in RAM and scans its own
+reviewers (:meth:`~repro.core.problem.WGRAPProblem.candidate_reviewers`).
 
 ``EntityIndex`` lives here because both the store and
 :class:`~repro.core.problem.WGRAPProblem` itself need the same id/position
@@ -66,7 +66,7 @@ class StoreStats:
     index_updates:
         Mutation events translated into incremental index deltas.
     index_hits:
-        Candidate/shortlist queries answered from the (inverted) index.
+        Candidate queries answered from the conflict index.
     conflict_deltas:
         Conflict changelog entries replayed into the store.
     rebuilds:
@@ -133,17 +133,6 @@ class ProblemStore(abc.ABC):
     @abc.abstractmethod
     def candidate_reviewers(self, paper_id: str) -> list[str]:
         """Non-conflicted reviewer ids for one paper, in problem order."""
-
-    @abc.abstractmethod
-    def topic_candidates(
-        self, vector: Any, limit: int, num_topics: int | None = None
-    ) -> list[tuple[str, float]]:
-        """Top reviewers by inverted-index proxy score for a topic vector.
-
-        The proxy is the dot product restricted to the vector's non-zero
-        topics, answered from the inverted topic index — a shortlist
-        generator for retrieval-style pruning, not an exact scoring.
-        """
 
     # -- adjacent state -------------------------------------------------
     @abc.abstractmethod

@@ -1,4 +1,4 @@
-"""SQLite-backed problem store with an inverted topic index.
+"""SQLite-backed problem store.
 
 The instance is compiled into a normalized relational schema (stdlib
 ``sqlite3`` — no new dependency)::
@@ -8,18 +8,13 @@ The instance is compiled into a normalized relational schema (stdlib
     papers(pos, id, title, abstract, vector)
     conflicts(reviewer_id, paper_id)      -- PK (reviewer, paper) + by-paper index
     bids(reviewer_id, paper_id, value)
-    reviewer_topics(reviewer_pos, topic, weight)
-        INDEX topic_index(topic, weight DESC, reviewer_pos)
 
 Topic vectors are raw little-endian float64 blobs, so a load round-trips
 **bitwise** — store-backed solves are bit-identical to the in-RAM oracle
 (pinned by ``tests/conformance/test_store_conformance.py``).
 
-``reviewer_topics`` is the inverted topic index: "top reviewers for a
-topic" is one index walk (``topic = ? ORDER BY weight DESC``) and a
-multi-topic shortlist is an indexed join + window, replacing the linear
-scan over all reviewer objects.  ``conflicts(paper_id, reviewer_id)``
-turns candidate filtering into an indexed anti-join.
+``conflicts(paper_id, reviewer_id)`` turns candidate filtering into an
+indexed anti-join, replacing the scan over all reviewer objects.
 
 The store follows a live problem chain (:meth:`attach`): ``add_paper`` /
 ``remove_reviewer`` events and conflict changelog tails are translated
@@ -88,23 +83,10 @@ CREATE TABLE IF NOT EXISTS bids(
     value       REAL NOT NULL,
     PRIMARY KEY (reviewer_id, paper_id)
 ) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS reviewer_topics(
-    reviewer_pos INTEGER NOT NULL,
-    topic        INTEGER NOT NULL,
-    weight       REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS topic_index
-    ON reviewer_topics(topic, weight DESC, reviewer_pos);
-CREATE INDEX IF NOT EXISTS reviewer_topics_by_reviewer
-    ON reviewer_topics(reviewer_pos);
 """
 
 #: the indexes the schema maintains, for ``store info`` and the docs
-INDEXES = (
-    "conflicts_by_paper",
-    "topic_index",
-    "reviewer_topics_by_reviewer",
-)
+INDEXES = ("conflicts_by_paper",)
 
 
 def _vector_blob(vector: TopicVector) -> bytes:
@@ -226,7 +208,6 @@ class SqliteProblemStore(ProblemStore):
         self._conn.execute("DELETE FROM reviewers")
         self._conn.execute("DELETE FROM papers")
         self._conn.execute("DELETE FROM conflicts")
-        self._conn.execute("DELETE FROM reviewer_topics")
         self._set_meta("group_size", str(problem.group_size))
         self._set_meta("reviewer_workload", str(problem.reviewer_workload))
         self._set_meta("num_topics", str(problem.num_topics))
@@ -249,19 +230,6 @@ class SqliteProblemStore(ProblemStore):
             "INSERT INTO conflicts(reviewer_id, paper_id) VALUES (?, ?)",
             [tuple(pair) for pair in problem.conflicts],
         )
-        self._conn.executemany(
-            "INSERT INTO reviewer_topics(reviewer_pos, topic, weight) VALUES (?, ?, ?)",
-            self._postings(problem),
-        )
-
-    @staticmethod
-    def _postings(problem: "WGRAPProblem") -> list[tuple[int, int, float]]:
-        rows: list[tuple[int, int, float]] = []
-        for pos, reviewer in enumerate(problem.reviewers):
-            values = np.asarray(reviewer.vector.values, dtype=np.float64)
-            for topic in np.nonzero(values)[0]:
-                rows.append((pos, int(topic), float(values[topic])))
-        return rows
 
     def _rebuild(self, problem: "WGRAPProblem") -> None:
         """Conservative full rebuild — only for unknown mutation kinds or
@@ -331,9 +299,6 @@ class SqliteProblemStore(ProblemStore):
                         continue
                     pos = int(row[0])
                     self._conn.execute("DELETE FROM reviewers WHERE pos = ?", (pos,))
-                    self._conn.execute(
-                        "DELETE FROM reviewer_topics WHERE reviewer_pos = ?", (pos,)
-                    )
                     self._conn.execute(
                         "DELETE FROM bids WHERE reviewer_id = ?", (reviewer_id,)
                     )
@@ -479,33 +444,6 @@ class SqliteProblemStore(ProblemStore):
             )
         ]
 
-    def topic_candidates(
-        self, vector: Any, limit: int, num_topics: int | None = None
-    ) -> list[tuple[str, float]]:
-        """Shortlist by inverted-index join over the query's live topics."""
-        query = np.asarray(vector, dtype=np.float64).reshape(-1)
-        topics = np.nonzero(query)[0]
-        self.stats.index_hits += 1
-        if topics.size == 0 or limit < 1:
-            return []
-        placeholders = ", ".join("(?, ?)" for _ in topics)
-        params: list[Any] = []
-        for topic in topics:
-            params.extend((int(topic), float(query[topic])))
-        params.append(int(limit))
-        rows = self._conn.execute(
-            f"WITH query(topic, w) AS (VALUES {placeholders}) "
-            "SELECT r.id, SUM(query.w * rt.weight) AS proxy "
-            "FROM query "
-            "JOIN reviewer_topics rt ON rt.topic = query.topic "
-            "JOIN reviewers r ON r.pos = rt.reviewer_pos "
-            "GROUP BY rt.reviewer_pos "
-            "ORDER BY proxy DESC, rt.reviewer_pos "
-            "LIMIT ?",
-            params,
-        ).fetchall()
-        return [(str(row[0]), float(row[1])) for row in rows]
-
     # ------------------------------------------------------------------
     # Adjacent state
     # ------------------------------------------------------------------
@@ -571,7 +509,6 @@ class SqliteProblemStore(ProblemStore):
             "paper_rows": self._count_rows("papers"),
             "conflict_rows": self._count_rows("conflicts"),
             "bid_rows": self._count_rows("bids"),
-            "index_rows": self._count_rows("reviewer_topics"),
             "indexes": list(INDEXES),
             "meta": {
                 str(key): str(value)

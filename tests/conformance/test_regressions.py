@@ -650,3 +650,131 @@ class TestCoverageAnalysisFollowsTheScoring:
         assignment = create_solver("cra", "SDGA").solve(problem).assignment
         histogram = coverage_histogram(problem, assignment)
         assert sum(count for _, _, count in histogram) == problem.num_papers
+
+
+class TestKindsAreMatchedExactly:
+    """``{"kind": "SHUTDOWN"}`` over TCP answered ``ok`` and shut nothing down.
+
+    ``request_from_dict`` looked kinds up case-insensitively, while the TCP
+    server matched its management kinds exactly.  So an upper-case
+    ``SHUTDOWN`` missed the server's drain: the tenant's engine answered
+    it ``{"shutdown": true}``, and the server went on admitting work
+    (``list_tenants`` still reported ``"draining": false``).  The stdio
+    loop stopped on it.  A kind is now matched exactly everywhere, and
+    any other spelling is an unknown kind.
+    """
+
+    KINDS = ["SHUTDOWN", "Stats"]
+
+    @staticmethod
+    def _engine() -> AssignmentEngine:
+        return AssignmentEngine(make_problem(6, 8, num_topics=5, group_size=2, seed=4))
+
+    def test_tcp_server_refuses_other_spellings_and_keeps_serving(self):
+        harness = ServerHarness()
+        harness.add_tenant("conf", self._engine())
+        harness.start()
+        try:
+            for kind in self.KINDS:
+                response = harness.call({"kind": kind, "id": 3})
+                assert response["ok"] is False, kind
+                assert response["error_type"] == "request"
+                assert response["id"] == 3
+            assert harness.call({"kind": "list_tenants"})["payload"]["draining"] is False
+            assert harness.call({"kind": "stats", "id": 4})["ok"] is True
+        finally:
+            harness.stop()
+
+    def test_stdio_loop_refuses_other_spellings_and_keeps_serving(self):
+        lines = [json.dumps({"kind": kind, "id": n}) for n, kind in enumerate(self.KINDS)]
+        output = io.StringIO()
+        serve_stream(self._engine(), [*lines, '{"kind": "stats", "id": 9}'], output)
+        responses = [json.loads(line) for line in output.getvalue().splitlines()]
+        assert [response["error_type"] for response in responses[:2]] == ["request"] * 2
+        assert responses[2]["ok"] is True
+        assert responses[2]["id"] == 9
+
+
+class TestStringNestedAndUnknownFieldsAreRefused:
+    """String, list, nested and undeclared request fields were coerced or dropped.
+
+    After the null, integer, boolean and number fixes, the per-kind parsing
+    still applied ``str(...)`` to string fields and list entries, read a
+    paper's id and vector loosely, unpacked any bid iterable and dropped
+    the fields a kind does not declare.  ``{"kind": "snapshot", "path":
+    {"a": 1}}`` wrote a snapshot file named ``{'a': 1}``;
+    ``"reviewer_id": [1, 2]`` looked up reviewer ``'[1, 2]'``; ``"solvers":
+    [1, null]`` raced the portfolio ``("1", "None")``; a paper ``"id": 5``
+    became ``"5"``, and a vector of strings or booleans parsed as numbers;
+    a bid ``[1, 2, 0.5]`` was read as the ids ``"1"`` and ``"2"``; a journal
+    query's ``"bogus": 1`` was ignored; and the path fields of
+    ``create_tenant`` and ``evict_tenant`` went through ``str(...)``.  The
+    wire format is now one table derived from the request dataclasses:
+    each field takes only its own JSON type, and an undeclared field
+    answers ``error_type: "request"``.
+    """
+
+    PAPER = {"id": "late", "vector": [0.25, 0.25, 0.25, 0.25]}
+    CASES = {
+        "snapshot-path-object": ({"kind": "snapshot", "path": {"a": 1}}, "path"),
+        "withdraw-reviewer-id-list": (
+            {"kind": "withdraw_reviewer", "reviewer_id": [1, 2]},
+            "reviewer_id",
+        ),
+        "solve-solver-object": ({"kind": "solve", "solver": {"x": 1}}, "solver"),
+        "portfolio-solvers-object": ({"kind": "portfolio", "solvers": {"a": 1}}, "solvers"),
+        "portfolio-solvers-non-strings": (
+            {"kind": "portfolio", "solvers": [1, None]},
+            "solvers",
+        ),
+        "add-paper-id-number": ({"kind": "add_paper", "paper": {**PAPER, "id": 5}}, "id"),
+        "add-paper-vector-strings": (
+            {"kind": "add_paper", "paper": {**PAPER, "vector": ["0.25"] * 4}},
+            "vector",
+        ),
+        "journal-paper-vector-booleans": (
+            {"kind": "journal", "paper": {**PAPER, "vector": [True, False, True, False]}},
+            "vector",
+        ),
+        "bid-id-numbers": ({"kind": "update_bids", "bids": [[1, 2, 0.5]]}, "bid"),
+        "journal-unknown-field": (
+            {"kind": "journal", "paper_id": "paper-0000", "bogus": 1},
+            "bogus",
+        ),
+        "stats-unknown-field": ({"kind": "stats", "include_ratio": True}, "include_ratio"),
+    }
+
+    @pytest.mark.parametrize(("line", "field"), list(CASES.values()), ids=list(CASES))
+    def test_engine_request_answers_a_request_error(self, line, field, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a coerced snapshot path would land here
+        response = TestIntegerFieldsAreNotCoerced._serve({**line, "id": 7})
+        assert response["ok"] is False
+        assert response["error_type"] == "request"
+        assert response["id"] == 7
+        assert field in response["error"]
+        assert list(tmp_path.iterdir()) == []
+
+    MANAGEMENT = [
+        ({"kind": "create_tenant", "tenant": "kdd", "problem_path": 5}, "problem_path"),
+        ({"kind": "create_tenant", "tenant": "kdd", "snapshot_path": ["a"]}, "snapshot_path"),
+        ({"kind": "create_tenant", "tenant": "kdd", "store_path": {"a": 1}}, "store_path"),
+        ({"kind": "evict_tenant", "tenant": "conf", "snapshot_path": 5}, "snapshot_path"),
+    ]
+
+    def test_management_path_fields_take_strings_only(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a coerced snapshot path would land here
+        harness = ServerHarness()
+        harness.add_tenant("conf", TestKindsAreMatchedExactly._engine())
+        harness.start()
+        try:
+            for line, field in self.MANAGEMENT:
+                response = harness.call({**line, "id": 7})
+                assert response["ok"] is False, line
+                assert response["error_type"] == "request"
+                assert response["id"] == 7
+                assert field in response["error"]
+            tenants = harness.call({"kind": "list_tenants"})["payload"]["tenants"]
+            assert list(tenants) == ["conf"]
+        finally:
+            harness.stop()
+        assert list(tmp_path.iterdir()) == []

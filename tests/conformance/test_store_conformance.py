@@ -21,6 +21,9 @@ results.  This file pins that across the shared grid:
 
 from __future__ import annotations
 
+import contextlib
+import sqlite3
+
 import numpy as np
 import pytest
 
@@ -108,19 +111,6 @@ class TestCandidateGenerationParity:
             for paper_id in problem.paper_ids:
                 assert sqlite.candidate_reviewers(paper_id) == (
                     memory.candidate_reviewers(paper_id)
-                )
-            for paper in problem.papers[:3]:
-                indexed = sqlite.topic_candidates(paper.vector, limit=5)
-                scanned = memory.topic_candidates(paper.vector, limit=5)
-                # SQL's SUM accumulates per-topic in index order, the RAM
-                # proxy is one dense matmul: same shortlist, ULP-level
-                # score differences are fine (it is a pruning heuristic,
-                # never a result — results stay bitwise elsewhere).
-                assert {rid for rid, _ in indexed} == {rid for rid, _ in scanned}
-                np.testing.assert_allclose(
-                    np.array([s for _, s in indexed]),
-                    np.array([s for _, s in scanned]),
-                    rtol=1e-12,
                 )
         finally:
             sqlite.close()
@@ -280,6 +270,53 @@ class TestMemmapEngineParity:
             assert result.score == oracle.score
         finally:
             resumed.store.close()
+
+
+class TestStoreFileWithTheDroppedTopicIndex:
+    """A store file written with the old inverted topic index still serves.
+
+    The schema used to keep a ``reviewer_topics`` table and two indexes
+    that nothing read.  They were dropped with ``SCHEMA_VERSION`` kept at
+    1 and no migration, so a file written before still holds them.
+    Reopened, it must answer a mutation chain bitwise like the in-RAM
+    engine, and the old table is left as it was.
+    """
+
+    OLD_DDL = (
+        "CREATE TABLE reviewer_topics(reviewer_pos INTEGER NOT NULL, "
+        "topic INTEGER NOT NULL, weight REAL NOT NULL)",
+        "CREATE INDEX topic_index ON reviewer_topics(topic, weight DESC, reviewer_pos)",
+        "CREATE INDEX reviewer_topics_by_reviewer ON reviewer_topics(reviewer_pos)",
+    )
+
+    def test_reopened_old_file_matches_the_ram_engine(self, tmp_path):
+        path = tmp_path / "old.db"
+        parity = TestMemmapEngineParity()
+        problem = parity._problem()
+        SqliteProblemStore.create(path, problem).close()
+        rows, topics = np.nonzero(np.asarray(problem.reviewer_matrix))
+        postings = [
+            (int(row), int(topic), float(problem.reviewer_matrix[row, topic]))
+            for row, topic in zip(rows, topics)
+        ]
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            for statement in self.OLD_DDL:
+                conn.execute(statement)
+            conn.executemany("INSERT INTO reviewer_topics VALUES (?, ?, ?)", postings)
+            conn.commit()
+
+        store = SqliteProblemStore.open(path)
+        try:
+            engine = AssignmentEngine.from_store(store)
+            assert parity._drive(engine) == parity._drive(AssignmentEngine(parity._problem()))
+            assert store.describe()["indexes"] == ["conflicts_by_paper"]
+        finally:
+            store.close()
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            names = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
+            kept = conn.execute("SELECT COUNT(*) FROM reviewer_topics").fetchone()[0]
+        assert {"reviewer_topics", "topic_index", "reviewer_topics_by_reviewer"} <= names
+        assert kept == len(postings)
 
 
 class TestPaperWorthyInstance(object):

@@ -96,6 +96,22 @@ class TestDenseKernels:
                 dense.gains_for_paper(group_vectors[paper_idx], paper_idx), reference
             )
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_group_vectors_match_the_per_paper_reference(self, seed):
+        # Ragged groups (full, short and empty) exercise the padded gather's
+        # repeated rows and its zeroed rows.
+        problem = _instance(seed)
+        assignment = _partial_assignment(problem, seed, per_paper=3)
+        for paper_idx, paper_id in enumerate(problem.paper_ids):
+            for reviewer_id in sorted(assignment.reviewers_of(paper_id))[: paper_idx % 4]:
+                assignment.discard(reviewer_id, paper_id)
+        vectors = problem.dense_view().group_vectors(assignment)
+        expected = np.stack(
+            [group_vector(problem, assignment, paper_id) for paper_id in problem.paper_ids]
+        )
+        assert vectors.tobytes() == expected.tobytes()
+        assert vectors.flags.writeable
+
     @pytest.mark.parametrize("scoring", available_scoring_functions())
     @pytest.mark.parametrize("seed", range(3))
     def test_scores_match_object_path(self, scoring, seed):

@@ -235,6 +235,25 @@ class TestCoverageOfRepoArtifacts:
         documented = {_first_name(row) for row in rows}
         assert documented == set(MANAGEMENT_KINDS)
 
+    def test_management_descriptions_name_every_field(self):
+        """Each management kind's description, in the server and on the
+        service page, names every field of its request dataclass (the
+        fieldless kinds take the envelope only)."""
+        from repro.net.server import _MANAGEMENT_TYPES, MANAGEMENT_KINDS
+        from repro.service.requests import Request
+
+        rows = _table_rows(
+            _read(DOCS_DIR / "service.md"), "### Tenant-management requests"
+        )
+        documented = {_first_name(row): row[1] for row in rows}
+        envelope = {"request_id", "client_seq"}
+        for kind, description in MANAGEMENT_KINDS.items():
+            for cell in (description, documented[kind]):
+                named = set(_names_in_cell(cell))
+                for field in dataclasses.fields(_MANAGEMENT_TYPES.get(kind, Request)):
+                    if field.name not in envelope:
+                        assert field.name in named, f"{kind!r} lacks `{field.name}`"
+
     def test_service_page_replication_table_matches_the_protocol(self):
         """Verbatim (descriptions included), like the failpoint table —
         the replication frame semantics ARE the contract."""

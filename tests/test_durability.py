@@ -36,7 +36,17 @@ from repro.fault import FaultInjected, get_failpoints
 from repro.obs.metrics import get_registry
 from repro.data.synthetic import make_problem
 from repro.service.engine import AssignmentEngine
-from repro.service.requests import request_from_dict
+from repro.core.entities import Paper
+from repro.core.vectors import TopicVector
+from repro.service.requests import (
+    MUTATION_KINDS,
+    AddPaper,
+    PortfolioSolve,
+    SolveRequest,
+    UpdateBids,
+    WithdrawReviewer,
+    request_from_dict,
+)
 from repro.service.session import EngineSession
 
 from tests.net_utils import strip_volatile
@@ -371,3 +381,69 @@ class TestAtomicWrites:
         assert json.dumps(outcome.engine.to_snapshot(), sort_keys=True) == (
             json.dumps(engine.to_snapshot(), sort_keys=True)
         )
+
+
+class TestEarlierRequestRecordsStillParse:
+    """WAL records in the earlier request encoding parse to the same requests.
+
+    A WAL record keeps its request as ``request_to_dict`` wrote it, and
+    recovery reads it back through ``request_from_dict``.  The encoder
+    used to be written per kind and left out empty ``options`` and
+    ``solvers``; it now emits every field that is not ``None``.  These
+    literal records are in the earlier encoding, at least one per
+    mutation kind, so a log written before the change still replays.
+    """
+
+    LATE = Paper(
+        id="late", vector=TopicVector([0.5, 0.25, 0.25]), title="Late", abstract="x"
+    )
+    RECORDS = {
+        "solve": (
+            {"kind": "solve", "id": 1, "seq": 4, "solver": "Greedy"},
+            SolveRequest(request_id=1, client_seq=4, solver="Greedy"),
+        ),
+        "solve-options": (
+            {"kind": "solve", "solver": "SDGA", "options": {"seed": 3}},
+            SolveRequest(solver="SDGA", options={"seed": 3}),
+        ),
+        "portfolio": (
+            {"kind": "portfolio", "id": "p", "seq": 5, "solvers": ["SDGA", "Greedy"],
+             "deadline": 30.0},
+            PortfolioSolve(
+                request_id="p", client_seq=5, solvers=("SDGA", "Greedy"), deadline=30.0
+            ),
+        ),
+        "portfolio-default": ({"kind": "portfolio"}, PortfolioSolve()),
+        "add_paper": (
+            {"kind": "add_paper", "seq": 6,
+             "paper": {"id": "late", "title": "Late", "abstract": "x",
+                       "vector": [0.5, 0.25, 0.25]},
+             "reviewer_workload": 4, "pool_size": 8},
+            AddPaper(client_seq=6, paper=LATE, reviewer_workload=4, pool_size=8),
+        ),
+        "withdraw_reviewer": (
+            {"kind": "withdraw_reviewer", "seq": 7, "reviewer_id": "reviewer-0002"},
+            WithdrawReviewer(client_seq=7, reviewer_id="reviewer-0002"),
+        ),
+        "update_bids": (
+            {"kind": "update_bids", "seq": 8,
+             "bids": [["reviewer-0001", "paper-0000", 1.0],
+                      ["reviewer-0002", "paper-0001", 0.25]]},
+            UpdateBids(
+                client_seq=8,
+                bids=(
+                    ("reviewer-0001", "paper-0000", 1.0),
+                    ("reviewer-0002", "paper-0001", 0.25),
+                ),
+            ),
+        ),
+    }
+
+    def test_every_mutation_kind_has_a_record(self):
+        assert {record["kind"] for record, _ in self.RECORDS.values()} == MUTATION_KINDS
+
+    @pytest.mark.parametrize(
+        ("record", "expected"), list(RECORDS.values()), ids=list(RECORDS)
+    )
+    def test_record_parses_to_the_same_request(self, record, expected):
+        assert request_from_dict(json.loads(json.dumps(record))) == expected

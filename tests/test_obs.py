@@ -492,7 +492,6 @@ class TestStoreObservability:
             names = list(engine.metrics_snapshot())
             store_gauges = [name for name in names if name.startswith("store.")]
             assert "store.reviewer_rows" in store_gauges
-            assert "store.index_rows" in store_gauges
             assert any(name.startswith("store.blocks_") for name in store_gauges)
             offenders = [name for name in store_gauges if not matches_name(name)]
             assert not offenders, f"unregistered store metrics: {offenders}"
