@@ -40,7 +40,8 @@ Environment knobs
     full-thundering-herd arrival is admitted rather than shed).
 ``REPRO_BENCH_SERVE_JOURNAL_SPREAD``
     Distinct journal-query targets per tenant (default 16; each costs
-    one cold JRA solve, then serves from the journal cache).
+    one JRA solve, and its repeats are answered from the engine's
+    journal answer store without a solve).
 """
 
 from __future__ import annotations
@@ -75,9 +76,11 @@ def _request_mix(num_tenants: int, journal_spread: int):
     """The read-heavy serving profile, deterministic per (client, step).
 
     Journal queries rotate over ``journal_spread`` distinct papers per
-    tenant: the first hit on each is a cold JRA solve, the rest are
-    journal-cache hits — so the measured steady state is the network
-    layer's throughput, not the solver's cold-start latency.
+    tenant.  The first query of each runs one JRA solve; its repeats reuse
+    the cached sub-problem and are answered from the answer stored on it,
+    with no solve.  So after the first ``journal_spread`` solves per
+    tenant no request runs a solver, and the steady state measures the
+    network layer, the tenant queues and the request handlers.
     """
 
     def factory(client: int, step: int) -> dict:

@@ -136,12 +136,27 @@ def _check_version(payload: Any, what: str, expected: int) -> None:
         raise UnsupportedFormatError(what, version, expected)
 
 
+def _typed(value: Any, kind: type, name: str) -> Any:
+    """``value`` if it is exactly of JSON type ``kind`` (an ``int`` is never
+    a ``bool``, a ``float`` or a ``"2"``); a :class:`ConfigurationError`
+    naming the field otherwise, like the request walk's refusals."""
+    if type(value) is not kind:
+        expected = "an integer" if kind is int else "a string"
+        raise ConfigurationError(f"problem field {name!r} must be {expected}, got {value!r}")
+    return value
+
+
 def problem_from_dict(payload: dict[str, Any]) -> WGRAPProblem:
-    """Rebuild a WGRAP problem from :func:`problem_to_dict` output."""
+    """Rebuild a WGRAP problem from :func:`problem_to_dict` output.
+
+    ``group_size`` and ``reviewer_workload`` must be JSON integers, and
+    every paper and reviewer id (conflict entries included) a string;
+    nothing is coerced.
+    """
     _check_version(payload, "problem", _FORMAT_VERSION)
     reviewers = [
         Reviewer(
-            id=entry["id"],
+            id=_typed(entry["id"], str, "reviewer id"),
             vector=TopicVector(entry["vector"]),
             name=entry.get("name", ""),
             h_index=entry.get("h_index"),
@@ -150,7 +165,7 @@ def problem_from_dict(payload: dict[str, Any]) -> WGRAPProblem:
     ]
     papers = [
         Paper(
-            id=entry["id"],
+            id=_typed(entry["id"], str, "paper id"),
             vector=TopicVector(entry["vector"]),
             title=entry.get("title", ""),
             abstract=entry.get("abstract", ""),
@@ -158,13 +173,14 @@ def problem_from_dict(payload: dict[str, Any]) -> WGRAPProblem:
         for entry in payload["papers"]
     ]
     conflicts = ConflictOfInterest(
-        (str(reviewer_id), str(paper_id)) for reviewer_id, paper_id in payload.get("conflicts", [])
+        (_typed(reviewer_id, str, "conflict reviewer id"), _typed(paper_id, str, "conflict paper id"))
+        for reviewer_id, paper_id in payload.get("conflicts", [])
     )
     return WGRAPProblem(
         papers=papers,
         reviewers=reviewers,
-        group_size=int(payload["group_size"]),
-        reviewer_workload=int(payload["reviewer_workload"]),
+        group_size=_typed(payload["group_size"], int, "group_size"),
+        reviewer_workload=_typed(payload["reviewer_workload"], int, "reviewer_workload"),
         conflicts=conflicts,
         scoring=payload.get("scoring"),
     )

@@ -25,7 +25,10 @@ SPAN_NAMES: dict[str, str] = {
     "request.<kind>": "one served request of the given wire kind (EngineSession.dispatch)",
     "engine.solve": "AssignmentEngine.solve: solver run (a cold chain builds its matrix), bookkeeping",
     "engine.portfolio": "AssignmentEngine.solve_portfolio: the whole portfolio race",
-    "engine.journal_query": "AssignmentEngine.journal_query: JRA problem build + solve",
+    "engine.journal_query": (
+        "AssignmentEngine.journal_query: JRA sub-problem lookup or build, "
+        "then the stored answer or a solve"
+    ),
     "engine.add_paper": "AssignmentEngine.add_paper: delta view derivation + cache update",
     "engine.withdraw_reviewer": "AssignmentEngine.withdraw_reviewer: delta derivation + repair",
     "solver.<name>": "one CRA or JRA solver run (base-class solve wrapper)",
@@ -58,7 +61,8 @@ METRIC_NAMES: dict[str, str] = {
     "engine.solves": "completed AssignmentEngine.solve calls",
     "engine.portfolio_solves": "completed solve_portfolio calls",
     "engine.journal_queries": "journal queries answered",
-    "engine.journal_cache_hits": "journal answers served from the JRA problem cache",
+    "engine.journal_cache_hits": "journal queries that reused a cached JRA sub-problem",
+    "engine.journal_answer_hits": "journal queries answered from the answer store, without a solve",
     "engine.add_paper": "papers added (net of rollbacks)",
     "engine.remove_reviewer": "reviewers withdrawn (net of rollbacks)",
     "engine.bid_updates": "bid records applied",

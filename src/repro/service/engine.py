@@ -16,10 +16,16 @@ work across requests:
   per late paper, zero re-scoring per withdrawal — instead of rebuilt,
   and subscribes to its mutation events so the reviewer rankings of
   :class:`~repro.service.cache.ScoreMatrixCache` follow the chain;
-* journal queries reuse cached per-paper JRA sub-problems and answer
-  with one solve each (:func:`repro.jra.topk.find_top_k_groups`, exact
-  with the default BBA); the heuristic ``pool_size`` can first shrink the
-  candidate pool to the cache's top reviewers for the paper;
+* journal queries reuse cached per-paper JRA sub-problems, and each
+  sub-problem keeps the ranked answers solved on it (one solve per
+  distinct question, :func:`repro.jra.topk.find_top_k_groups`, exact with
+  the default BBA) until a withdrawal or a conflict edit drops it; bid
+  updates and late papers keep every answer.  The heuristic ``pool_size``
+  can first shrink the candidate pool to the cache's top reviewers for
+  the paper;
+* the optimality ratio of :meth:`AssignmentEngine.evaluate` reads its
+  ideal assignment from the same answers (every paper's full-pool BBA
+  top-1 group), so only papers without a stored answer are solved;
 * conference solves, incremental mutations and evaluation all go through
   the string-keyed solver registry, so requests can name solvers.
 
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -41,6 +47,7 @@ from repro.core.assignment import Assignment
 from repro.core.entities import Paper
 from repro.core.problem import JRAProblem, ProblemMutation, WGRAPProblem
 from repro.cra.base import CRAResult
+from repro.cra.ideal import IdealAssignment
 from repro.cra.repair import complete_assignment
 from repro.data.io import (
     EngineSnapshot,
@@ -62,7 +69,7 @@ from repro.obs.trace import get_tracer
 from repro.parallel.config import ParallelConfig
 from repro.parallel.portfolio import DEFAULT_PORTFOLIO, PortfolioOutcome, run_portfolio
 from repro.service.cache import ScoreMatrixCache
-from repro.service.registry import create_solver, solver_spec
+from repro.service.registry import SolverSpec, create_solver, solver_spec
 from repro.store.base import ProblemStore
 
 TRACER = get_tracer()
@@ -113,7 +120,9 @@ class JournalAnswer:
         Highest-scoring individual reviewers from the cached score matrix
         (empty for inline papers that are not part of the problem).
     cache_hit:
-        Whether the JRA sub-problem came from the engine's cache.
+        Whether the JRA sub-problem came from the engine's cache (the
+        groups themselves may have been stored on it by an earlier query
+        of the same question; ``engine.journal_answer_hits`` counts those).
     solver:
         Canonical name of the solver that answered the query.
     elapsed_seconds:
@@ -149,6 +158,20 @@ class JournalAnswer:
             "solver": self.solver,
             "elapsed_seconds": self.elapsed_seconds,
         }
+
+
+@dataclass
+class _JRAEntry:
+    """One cached JRA sub-problem and the answers already solved on it.
+
+    ``answers`` maps ``(canonical solver name, top_k)`` to the ranked
+    groups.  ``problem`` is ``None`` when only the ideal assignment asked:
+    it keeps the answers but not a sub-problem per paper.  Both are
+    dropped together, by :meth:`AssignmentEngine._drop_jra_cache`.
+    """
+
+    problem: JRAProblem | None = None
+    answers: dict[tuple[str, int], tuple[RankedGroup, ...]] = field(default_factory=dict)
 
 
 class AssignmentEngine:
@@ -199,6 +222,7 @@ class AssignmentEngine:
         "portfolio_solves",
         "journal_queries",
         "journal_cache_hits",
+        "journal_answer_hits",
         "add_paper",
         "remove_reviewer",
         "bid_updates",
@@ -235,9 +259,13 @@ class AssignmentEngine:
         if store is not None:
             store.attach(problem)
         self._cache = ScoreMatrixCache(problem, parallel=parallel)
-        self._jra_cache: dict[tuple[str, int, int | None], JRAProblem] = {}
+        #: (paper id, group size, pool_size) -> sub-problem and its answers
+        self._jra_cache: dict[tuple[str, int, int | None], _JRAEntry] = {}
         #: conflict version the JRA sub-problem cache is valid for
         self._jra_cache_version = problem.conflicts.version
+        #: the ratio-free summary of :meth:`evaluate`, until the next
+        #: mutation or assignment install
+        self._evaluation: dict[str, Any] | None = None
         self._revision = 0
         # All counters live in the metrics registry under ``engine.*``;
         # ``stats()`` derives the historical flat keys from them.
@@ -372,10 +400,21 @@ class AssignmentEngine:
         # validation, while mutations made directly through the problem API
         # leave it void until the next full validation.
         self._assignment_valid_at = None
+        self._evaluation = None
         if mutation.kind == "remove_reviewer":
             # Candidate pools changed for every paper.
-            self._jra_cache.clear()
-            self._jra_cache_version = self._problem.conflicts.version
+            self._drop_jra_cache()
+
+    def _drop_jra_cache(self) -> None:
+        """Forget every cached JRA sub-problem and the answers solved on it.
+
+        The one invalidation path of the journal answers: a withdrawal
+        (committed or rolled back) and a moved conflict version change
+        candidate pools.  A late paper or a bid update changes no cached
+        sub-problem, so every answer survives them.
+        """
+        self._jra_cache.clear()
+        self._jra_cache_version = self._problem.conflicts.version
 
     # ------------------------------------------------------------------
     # Conference solve
@@ -416,6 +455,7 @@ class AssignmentEngine:
             result = instance.solve(self._problem)
             span.set(score=round(result.score, 6))
         self._assignment = result.assignment
+        self._evaluation = None
         self._mark_assignment_valid()
         self._last_solver = canonical
         self._last_score = result.score
@@ -459,6 +499,7 @@ class AssignmentEngine:
             )
             span.set(best=outcome.best_solver)
         self._assignment = outcome.best.assignment
+        self._evaluation = None
         self._mark_assignment_valid()
         self._last_solver = outcome.best_solver
         self._last_score = outcome.best.score
@@ -543,38 +584,25 @@ class AssignmentEngine:
             paper_obj = self._problem.paper_by_id(paper_id)  # raises KeyError
 
         size = group_size if group_size is not None else self._problem.group_size
-        if inline and pool_size is not None:
-            raise ConfigurationError(
-                "pool_size pruning needs a cached score column; "
-                "add the paper to the problem first"
-            )
-
-        cache_hit = False
         if inline:
+            if pool_size is not None:
+                raise ConfigurationError(
+                    "pool_size pruning needs a cached score column; "
+                    "add the paper to the problem first"
+                )
+            # Not part of the problem, so nothing is stored for it.
             jra = JRAProblem(
                 paper=paper_obj,
                 reviewers=self._problem.reviewers,
                 group_size=size,
                 scoring=self._problem.scoring,
             )
+            groups = tuple(find_top_k_groups(jra, top_k, spec.factory(top_k=top_k)))
+            cache_hit = answer_hit = False
         else:
-            # Conflict edits on the live container change candidate pools,
-            # and a stale sub-problem would silently keep serving the old
-            # exclusions — drop the whole cache when the version moved
-            # (bounded memory: entries for dead versions never linger).
-            if self._jra_cache_version != self._problem.conflicts.version:
-                self._jra_cache.clear()
-                self._jra_cache_version = self._problem.conflicts.version
-            key = (paper_id, size, pool_size)
-            cached = self._jra_cache.get(key)
-            if cached is not None:
-                jra = cached
-                cache_hit = True
-            else:
-                jra = self._build_jra(paper_obj, size, pool_size)
-                self._jra_cache[key] = jra
-
-        groups = tuple(find_top_k_groups(jra, top_k, spec.factory(top_k=top_k)))
+            groups, cache_hit, answer_hit = self._answer(
+                paper_obj, size, pool_size, spec, top_k
+            )
 
         shortlist: tuple[tuple[str, float], ...] = ()
         if shortlist_size > 0 and not inline:
@@ -583,6 +611,8 @@ class AssignmentEngine:
         self._count("journal_queries")
         if cache_hit:
             self._count("journal_cache_hits")
+        if answer_hit:
+            self._count("journal_answer_hits")
         return JournalAnswer(
             paper_id=paper_id,
             groups=groups,
@@ -590,6 +620,76 @@ class AssignmentEngine:
             cache_hit=cache_hit,
             solver=spec.name,
             elapsed_seconds=time.perf_counter() - started,
+        )
+
+    def _answer(
+        self,
+        paper: Paper,
+        group_size: int,
+        pool_size: int | None,
+        spec: SolverSpec,
+        top_k: int,
+        keep_problem: bool = True,
+    ) -> tuple[tuple[RankedGroup, ...], bool, bool]:
+        """The ranked groups of one question about a paper of the problem.
+
+        Returns the groups, whether the JRA sub-problem was reused, and
+        whether the groups were.  A question is solved once and stored on
+        the paper's cache entry; the journal path and the ideal assignment
+        both read the store through here.  ``keep_problem=False`` stores
+        the answer without caching a sub-problem it had to build.
+        """
+        # Conflict edits on the live container change candidate pools,
+        # and a stale sub-problem would silently keep serving the old
+        # exclusions — drop the whole cache when the version moved
+        # (bounded memory: entries for dead versions never linger).
+        if self._jra_cache_version != self._problem.conflicts.version:
+            self._drop_jra_cache()
+        key = (paper.id, group_size, pool_size)
+        entry = self._jra_cache.get(key)
+        if entry is None:
+            entry = _JRAEntry()
+        question = (spec.name, top_k)
+        cache_hit = entry.problem is not None
+        groups = entry.answers.get(question)
+        if groups is not None:
+            return groups, cache_hit, True
+        jra = entry.problem
+        if jra is None:
+            jra = self._build_jra(paper, group_size, pool_size)
+            if keep_problem:
+                entry.problem = jra
+            self._jra_cache[key] = entry
+        groups = tuple(find_top_k_groups(jra, top_k, spec.factory(top_k=top_k)))
+        entry.answers[question] = groups
+        return groups, cache_hit, False
+
+    def _ideal(self) -> IdealAssignment:
+        """The ideal assignment, read from the journal answer store.
+
+        A paper's ideal group is the answer to the journal question
+        (paper, ``delta_p``, full pool, BBA, top 1): the JRA problem
+        :func:`~repro.cra.ideal.ideal_assignment` solves with the same
+        solver.  Stored answers are reused; the other papers are solved
+        and their answers stored, without caching a sub-problem per paper
+        (at R = 120 and T = 30 a solved one holds ~90 KB).  No shortlist is built
+        and no journal query is counted.
+        """
+        problem = self._problem
+        spec = solver_spec("jra", "BBA")
+        assignment = Assignment()
+        paper_scores: dict[str, float] = {}
+        for paper in problem.papers:
+            (best,), _, _ = self._answer(
+                paper, problem.group_size, None, spec, 1, keep_problem=False
+            )
+            for reviewer_id in best.reviewer_ids:
+                assignment.add(reviewer_id, paper.id)
+            paper_scores[paper.id] = best.score
+        return IdealAssignment(
+            assignment=assignment,
+            score=float(sum(paper_scores.values())),
+            paper_scores=paper_scores,
         )
 
     def _build_jra(
@@ -878,7 +978,7 @@ class AssignmentEngine:
                 # The store's listener already applied the withdrawal;
                 # re-attaching to the pre-mutation problem rebases it.
                 self._store.attach(problem)
-            self._jra_cache.clear()
+            self._drop_jra_cache()
             self._revision -= 1
             self._count("remove_reviewer", -1)
             raise
@@ -922,6 +1022,14 @@ class AssignmentEngine:
     ) -> dict[str, Any]:
         """Score the current assignment under the problem's scoring function.
 
+        The summary (score, mean and lowest coverage, counts, solver) is
+        computed once and reused until the next mutation or assignment
+        install.  The optimality ratio, the per-paper block and the bid
+        satisfaction are computed on every call, since conflict edits and
+        bids change without a mutation.  The ratio's ideal assignment is
+        read from the journal answer store, so only the papers without a
+        stored full-pool BBA top-1 answer are solved.
+
         Raises
         ------
         ConfigurationError
@@ -932,18 +1040,24 @@ class AssignmentEngine:
                 "the engine has no assignment yet; run a solve first"
             )
         problem = self._problem
-        score = problem.assignment_score(self._assignment)
-        payload: dict[str, Any] = {
-            "score": score,
-            "mean_coverage": score / problem.num_papers,
-            "lowest_coverage": lowest_coverage_score(problem, self._assignment),
-            "num_papers": problem.num_papers,
-            "num_reviewers": problem.num_reviewers,
-            "num_pairs": len(self._assignment),
-            "solver": self._last_solver,
-        }
+        if self._evaluation is None:
+            score = problem.assignment_score(self._assignment)
+            self._evaluation = {
+                "score": score,
+                "mean_coverage": score / problem.num_papers,
+                "lowest_coverage": lowest_coverage_score(problem, self._assignment),
+                "num_papers": problem.num_papers,
+                "num_reviewers": problem.num_reviewers,
+                "num_pairs": len(self._assignment),
+                "solver": self._last_solver,
+            }
+        payload = dict(self._evaluation)
         if include_ratio:
-            payload["optimality_ratio"] = optimality_ratio(problem, self._assignment)
+            # Never stored: a conflict edit moves the ideal without a
+            # mutation event, and the store's version check follows it.
+            payload["optimality_ratio"] = optimality_ratio(
+                problem, self._assignment, ideal=self._ideal()
+            )
         if include_per_paper:
             payload["per_paper"] = problem.paper_scores(self._assignment)
         if len(self._bids):
@@ -1023,7 +1137,12 @@ class AssignmentEngine:
             "last_solver": self._last_solver,
             "last_score": self._last_score,
             "num_bids": len(self._bids),
-            "jra_problems_cached": len(self._jra_cache),
+            "jra_problems_cached": sum(
+                entry.problem is not None for entry in self._jra_cache.values()
+            ),
+            "journal_answers_cached": sum(
+                len(entry.answers) for entry in self._jra_cache.values()
+            ),
             "parallel_workers": (
                 self._parallel.resolved_workers() if self._parallel is not None else 1
             ),

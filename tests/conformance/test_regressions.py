@@ -17,10 +17,11 @@ from repro.core.entities import Paper, Reviewer
 from repro.core.problem import WGRAPProblem
 from repro.core.scoring import available_scoring_functions
 from repro.core.vectors import TopicVector
-from repro.data.io import problem_to_dict
+from repro.data.io import load_problem, problem_from_dict, problem_to_dict
 from repro.data.synthetic import make_problem
-from repro.exceptions import InfeasibleProblemError, RequestError
+from repro.exceptions import ConfigurationError, InfeasibleProblemError, RequestError
 from repro.metrics.analysis import coverage_histogram, paper_topic_coverage
+from repro.metrics.quality import optimality_ratio
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import create_solver
 from repro.service.requests import request_from_dict
@@ -778,3 +779,95 @@ class TestStringNestedAndUnknownFieldsAreRefused:
         finally:
             harness.stop()
         assert list(tmp_path.iterdir()) == []
+
+
+class TestProblemFormatFieldsAreNotCoerced:
+    """The problem format coerced what the request walk refuses.
+
+    ``problem_from_dict`` read ``group_size`` and ``reviewer_workload``
+    through ``int(...)`` and kept paper and reviewer ids as given.  A
+    ``create_tenant`` with an inline ``problem`` reaches it over the wire:
+    ``"group_size": 2.9`` and ``"group_size": "2"`` both loaded as 2,
+    ``"reviewer_workload": true`` as 1, and a paper ``"id": 5`` or a
+    reviewer ``"id": 7`` stayed an integer, which no string request can
+    name (a conflict's ids went through ``str(...)``).  The sizes now take
+    only JSON integers and the ids only strings; anything else raises a
+    :class:`ConfigurationError` naming the field, and no tenant is
+    created.
+    """
+
+    CASES = {
+        "group-size-float": (lambda payload: payload.update(group_size=2.9), "group_size"),
+        "group-size-string": (lambda payload: payload.update(group_size="2"), "group_size"),
+        "workload-boolean": (
+            lambda payload: payload.update(reviewer_workload=True),
+            "reviewer_workload",
+        ),
+        "paper-id-integer": (lambda payload: payload["papers"][0].update(id=5), "paper id"),
+        "reviewer-id-integer": (
+            lambda payload: payload["reviewers"][0].update(id=7),
+            "reviewer id",
+        ),
+        "conflict-paper-id-integer": (
+            lambda payload: payload.update(conflicts=[["reviewer-0000", 5]]),
+            "conflict paper id",
+        ),
+    }
+
+    @staticmethod
+    def _payload(case: str) -> dict:
+        payload = problem_to_dict(make_problem(6, 8, num_topics=5, group_size=2, seed=4))
+        edit, _ = TestProblemFormatFieldsAreNotCoerced.CASES[case]
+        edit(payload)
+        return payload
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_problem_from_dict_and_load_problem_refuse_the_field(self, case, tmp_path):
+        field = self.CASES[case][1]
+        with pytest.raises(ConfigurationError, match=field):
+            problem_from_dict(self._payload(case))
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(self._payload(case)))
+        with pytest.raises(ConfigurationError, match=field):
+            load_problem(path)
+
+    def test_create_tenant_answers_an_error_and_registers_nothing(self):
+        harness = ServerHarness().start()
+        try:
+            for case, (_, field) in self.CASES.items():
+                response = harness.call(
+                    {"kind": "create_tenant", "tenant": "kdd", "problem": self._payload(case)}
+                )
+                assert response["ok"] is False, case
+                assert response["error_type"] not in ("internal", None), case
+                assert field in response["error"], case
+                tenants = harness.call({"kind": "list_tenants"})["payload"]["tenants"]
+                assert "kdd" not in tenants, case
+            plain = problem_to_dict(make_problem(6, 8, num_topics=5, group_size=2, seed=4))
+            created = harness.call({"kind": "create_tenant", "tenant": "kdd", "problem": plain})
+            assert created["ok"] is True
+        finally:
+            harness.stop()
+
+
+class TestTheOptimalityRatioFollowsConflictEdits:
+    """A cached ``evaluate`` payload keeps the ratio of an older conflict set.
+
+    A memo of the whole ``evaluate`` payload, reset on mutations and
+    solves, passed every other tier-1 test; but a conflict edit on the
+    live container fires no mutation event, so after
+    ``conflicts.add("reviewer-0003", "paper-0001")`` the memo answered the
+    old ratio 0.9981285946241552 where the truth is 0.9984714216574778.
+    The ratio is computed on every call, and its ideal reads the answer
+    store through the store's conflict-version check.
+    """
+
+    def test_second_ratio_sees_the_new_conflict(self):
+        problem = make_problem(12, 10, num_topics=8, group_size=3, reviewer_workload=5, seed=0)
+        engine = AssignmentEngine(problem)
+        engine.solve("Greedy")
+        assert engine.evaluate(include_ratio=True)["optimality_ratio"] == 0.9981285946241552
+        engine.problem.conflicts.add("reviewer-0003", "paper-0001")
+        ratio = engine.evaluate(include_ratio=True)["optimality_ratio"]
+        assert ratio == optimality_ratio(engine.problem, engine.assignment)
+        assert ratio == 0.9984714216574778

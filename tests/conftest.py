@@ -6,12 +6,24 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core.assignment import Assignment
 from repro.core.entities import Paper, Reviewer
 from repro.core.problem import JRAProblem, WGRAPProblem
 from repro.core.vectors import TopicVector
 from repro.data.synthetic import SyntheticWorkloadGenerator
+
+#: The deep run of the engine state machine
+#: (``tests/conformance/test_engine_state_machine.py``), selected with
+#: ``--hypothesis-profile engine-deep``; tier-1 runs it at a modest depth.
+settings.register_profile(
+    "engine-deep",
+    max_examples=1000,
+    stateful_step_count=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 @pytest.fixture

@@ -325,6 +325,124 @@ class TestJournalQueries:
             engine.journal_query("nope")
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The engine's JRA solves, counted at ``find_top_k_groups``."""
+    import repro.service.engine as engine_module
+
+    calls = []
+    solve = engine_module.find_top_k_groups
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].paper.id)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "find_top_k_groups", counted)
+    return calls
+
+
+class TestJournalAnswerStore:
+    def test_a_repeated_question_is_answered_without_a_solve(self, engine, solves):
+        paper_id = engine.problem.paper_ids[0]
+        first = engine.journal_query(paper_id, top_k=2)
+        second = engine.journal_query(paper_id, top_k=2)
+        assert len(solves) == 1
+        assert second.groups == first.groups
+        assert second.cache_hit and not first.cache_hit
+        engine.journal_query(paper_id, top_k=1)  # another question, same sub-problem
+        assert len(solves) == 2
+        stats = engine.stats()
+        assert stats["journal_cache_hits"] == 2
+        assert stats["journal_answer_hits"] == 1
+        assert (stats["jra_problems_cached"], stats["journal_answers_cached"]) == (1, 2)
+
+    def test_bids_and_late_papers_keep_every_answer(self, solved_engine, solves):
+        engine = solved_engine
+        paper_id = engine.problem.paper_ids[0]
+        engine.journal_query(paper_id)
+        engine.update_bids([(engine.problem.reviewer_ids[0], paper_id, 0.5)])
+        engine.add_paper(_late_paper(engine.problem), reviewer_workload=6)
+        engine.journal_query(paper_id)
+        assert len(solves) == 1
+        assert engine.stats()["journal_answer_hits"] == 1
+
+    def test_withdrawals_and_conflict_edits_drop_every_answer(self, solved_engine, solves):
+        engine = solved_engine
+        paper_id = engine.problem.paper_ids[0]
+        engine.journal_query(paper_id)
+        other = engine.problem.paper_ids[1]
+        free = [r for r in engine.problem.reviewer_ids if r not in engine.assignment.reviewers_of(other)]
+        engine.problem.conflicts.add(free[0], other)
+        engine.journal_query(paper_id)
+        assert len(solves) == 2
+        engine.withdraw_reviewer(engine.problem.reviewer_ids[-1])
+        assert engine.stats()["journal_answers_cached"] == 0
+        engine.journal_query(paper_id)
+        assert len(solves) == 3
+        assert engine.stats()["journal_answer_hits"] == 0
+
+    def test_a_rolled_back_withdrawal_drops_every_answer(self, solves):
+        # Minimal workload with no spare capacity: every withdrawal is infeasible.
+        engine = AssignmentEngine(
+            make_problem(num_papers=8, num_reviewers=4, num_topics=6, group_size=2, seed=13)
+        )
+        engine.solve("SDGA")
+        engine.journal_query(engine.problem.paper_ids[0])
+        with pytest.raises(InfeasibleProblemError):
+            engine.withdraw_reviewer(engine.problem.reviewer_ids[0])
+        assert engine.stats()["journal_answers_cached"] == 0
+        engine.journal_query(engine.problem.paper_ids[0])
+        assert len(solves) == 2
+
+    def test_inline_papers_are_not_stored(self, engine, solves):
+        inline = _late_paper(engine.problem, paper_id="visitor")
+        engine.journal_query(inline)
+        engine.journal_query(inline)
+        assert len(solves) == 2
+        assert engine.stats()["journal_answers_cached"] == 0
+
+    def test_the_ideal_reads_the_store_and_counts_no_queries(self, solved_engine, solves):
+        from repro.cra.ideal import ideal_assignment
+
+        engine = solved_engine
+        engine.journal_query(engine.problem.paper_ids[0])
+        ideal = engine._ideal()
+        assert len(solves) == engine.problem.num_papers
+        reference = ideal_assignment(engine.problem)
+        assert ideal.assignment == reference.assignment
+        assert ideal.score.hex() == reference.score.hex()
+        stats = engine.stats()
+        assert stats["journal_queries"] == 1
+        assert stats["journal_answer_hits"] == 0
+        # Answers for every paper, but no sub-problem per paper.
+        assert stats["journal_answers_cached"] == engine.problem.num_papers
+        assert stats["jra_problems_cached"] == 1
+
+    def test_a_second_default_evaluate_runs_no_solve(self, solved_engine, solves):
+        engine = solved_engine
+        first = engine.evaluate()
+        assert len(solves) == engine.problem.num_papers
+        second = engine.evaluate()
+        assert len(solves) == engine.problem.num_papers
+        assert second == first and second is not first
+        late = _late_paper(engine.problem)
+        engine.add_paper(late, reviewer_workload=6)
+        engine.evaluate()
+        assert solves[engine.problem.num_papers - 1:] == [late.id]
+
+    def test_each_evaluate_gets_its_own_payload_and_fresh_bid_satisfaction(
+        self, solved_engine
+    ):
+        engine = solved_engine
+        first = engine.evaluate(include_ratio=False)
+        first["score"] = -1.0
+        assert engine.evaluate(include_ratio=False)["score"] != -1.0
+        paper_id = engine.problem.paper_ids[0]
+        reviewer_id = sorted(engine.assignment.reviewers_of(paper_id))[0]
+        engine.update_bids([(reviewer_id, paper_id, 1.0)])
+        assert engine.evaluate(include_ratio=False)["bid_satisfaction"] > 0.0
+
+
 class TestSnapshots:
     def test_round_trip_preserves_state(self, tmp_path, solved_engine):
         solved_engine.update_bids(
