@@ -19,7 +19,9 @@ On top of it:
   (the stage solver is swapped with ``unittest.mock.patch.object``, the
   idiom of :func:`~tests.oracles.inputs.object_refill`);
 * :class:`PairwiseILPFlow` — the pairwise ILP with its LP seam replaced
-  by the equivalent flow.
+  by the equivalent flow;
+* :func:`has_feasible_assignment` — whether a WGRAP instance admits any
+  assignment at all, decided as a max flow.
 
 They match the fast paths on the objective value, not on how ties are
 broken.
@@ -48,6 +50,7 @@ __all__ = [
     "PairwiseILPFlow",
     "SDGAFlow",
     "flow_capacitated_assignment",
+    "has_feasible_assignment",
 ]
 
 
@@ -283,6 +286,46 @@ def flow_capacitated_assignment(
     return CapacitatedAssignmentResult(
         row_to_col=tuple(int(col) for col in row_to_col), total_profit=total_profit
     )
+
+
+def has_feasible_assignment(problem: WGRAPProblem) -> bool:
+    """Whether some assignment meets every group size, workload and conflict.
+
+    :class:`~repro.core.problem.WGRAPProblem` validates only necessary
+    counts (total capacity, enough non-conflicted reviewers per paper);
+    with capacity exactly equal to demand, conflicts can still leave no
+    assignment at all.  The network is :class:`PairwiseILPFlow`'s without
+    costs: the instance is feasible exactly when its max flow fills every
+    paper's ``delta_p`` slots.
+    """
+    num_papers, num_reviewers = problem.num_papers, problem.num_reviewers
+    source = 0
+    paper_offset = 1
+    reviewer_offset = 1 + num_papers
+    sink = 1 + num_papers + num_reviewers
+    solver = MinCostFlowSolver(num_nodes=sink + 1)
+    for paper_idx, paper_id in enumerate(problem.paper_ids):
+        solver.add_edge(
+            source, paper_offset + paper_idx, capacity=float(problem.group_size), cost=0.0
+        )
+        for reviewer_idx, reviewer_id in enumerate(problem.reviewer_ids):
+            if problem.is_feasible_pair(reviewer_id, paper_id):
+                solver.add_edge(
+                    paper_offset + paper_idx,
+                    reviewer_offset + reviewer_idx,
+                    capacity=1.0,
+                    cost=0.0,
+                )
+    for reviewer_idx in range(num_reviewers):
+        solver.add_edge(
+            reviewer_offset + reviewer_idx,
+            sink,
+            capacity=float(problem.reviewer_workload),
+            cost=0.0,
+        )
+    demand = num_papers * problem.group_size
+    flow = solver.solve(source, sink, required_flow=float(demand), allow_partial=True)
+    return flow.flow_value > demand - 0.5
 
 
 class SDGAFlow(sdga.StageDeepeningGreedySolver):
