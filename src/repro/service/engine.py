@@ -23,9 +23,8 @@ work across requests:
   updates and late papers keep every answer.  The heuristic ``pool_size``
   can first shrink the candidate pool to the cache's top reviewers for
   the paper;
-* the optimality ratio of :meth:`AssignmentEngine.evaluate` reads its
-  ideal assignment from the same answers (every paper's full-pool BBA
-  top-1 group), so only papers without a stored answer are solved;
+* :meth:`AssignmentEngine.evaluate` reuses its ratio-free summary until
+  the next mutation or assignment install;
 * conference solves, incremental mutations and evaluation all go through
   the string-keyed solver registry, so requests can name solvers.
 
@@ -47,7 +46,6 @@ from repro.core.assignment import Assignment
 from repro.core.entities import Paper
 from repro.core.problem import JRAProblem, ProblemMutation, WGRAPProblem
 from repro.cra.base import CRAResult
-from repro.cra.ideal import IdealAssignment
 from repro.cra.repair import complete_assignment
 from repro.data.io import (
     EngineSnapshot,
@@ -165,12 +163,11 @@ class _JRAEntry:
     """One cached JRA sub-problem and the answers already solved on it.
 
     ``answers`` maps ``(canonical solver name, top_k)`` to the ranked
-    groups.  ``problem`` is ``None`` when only the ideal assignment asked:
-    it keeps the answers but not a sub-problem per paper.  Both are
-    dropped together, by :meth:`AssignmentEngine._drop_jra_cache`.
+    groups.  Both are dropped together, by
+    :meth:`AssignmentEngine._drop_jra_cache`.
     """
 
-    problem: JRAProblem | None = None
+    problem: JRAProblem
     answers: dict[tuple[str, int], tuple[RankedGroup, ...]] = field(default_factory=dict)
 
 
@@ -391,6 +388,13 @@ class AssignmentEngine:
         self._problem.remove_mutation_listener(self._listener)
 
     def _on_mutation(self, mutation: ProblemMutation) -> None:
+        # A derived problem copies the conflict set, and the copy's version
+        # counter restarts at its pair count: versions compare only within
+        # one container, so check the source's before the swap.
+        conflicts_current = (
+            mutation.source.conflicts is self._problem.conflicts
+            and self._jra_cache_version == mutation.source.conflicts.version
+        )
         self._cache.apply_mutation(mutation)
         self._problem = mutation.result
         self._revision += 1
@@ -401,9 +405,13 @@ class AssignmentEngine:
         # leave it void until the next full validation.
         self._assignment_valid_at = None
         self._evaluation = None
-        if mutation.kind == "remove_reviewer":
-            # Candidate pools changed for every paper.
+        if mutation.kind == "remove_reviewer" or not conflicts_current:
+            # Candidate pools changed for every paper, or conflict edits
+            # made since the last journal query would hide in the copy.
             self._drop_jra_cache()
+        else:
+            # A late paper changes no cached sub-problem: re-base on the copy.
+            self._jra_cache_version = self._problem.conflicts.version
 
     def _drop_jra_cache(self) -> None:
         """Forget every cached JRA sub-problem and the answers solved on it.
@@ -411,7 +419,8 @@ class AssignmentEngine:
         The one invalidation path of the journal answers: a withdrawal
         (committed or rolled back) and a moved conflict version change
         candidate pools.  A late paper or a bid update changes no cached
-        sub-problem, so every answer survives them.
+        sub-problem, so every answer survives them (unless conflict edits
+        made since the last query reach the late paper's problem).
         """
         self._jra_cache.clear()
         self._jra_cache_version = self._problem.conflicts.version
@@ -629,15 +638,12 @@ class AssignmentEngine:
         pool_size: int | None,
         spec: SolverSpec,
         top_k: int,
-        keep_problem: bool = True,
     ) -> tuple[tuple[RankedGroup, ...], bool, bool]:
         """The ranked groups of one question about a paper of the problem.
 
         Returns the groups, whether the JRA sub-problem was reused, and
         whether the groups were.  A question is solved once and stored on
-        the paper's cache entry; the journal path and the ideal assignment
-        both read the store through here.  ``keep_problem=False`` stores
-        the answer without caching a sub-problem it had to build.
+        the paper's cache entry.
         """
         # Conflict edits on the live container change candidate pools,
         # and a stale sub-problem would silently keep serving the old
@@ -647,50 +653,17 @@ class AssignmentEngine:
             self._drop_jra_cache()
         key = (paper.id, group_size, pool_size)
         entry = self._jra_cache.get(key)
+        cache_hit = entry is not None
         if entry is None:
-            entry = _JRAEntry()
+            entry = _JRAEntry(self._build_jra(paper, group_size, pool_size))
+            self._jra_cache[key] = entry
         question = (spec.name, top_k)
-        cache_hit = entry.problem is not None
         groups = entry.answers.get(question)
         if groups is not None:
             return groups, cache_hit, True
-        jra = entry.problem
-        if jra is None:
-            jra = self._build_jra(paper, group_size, pool_size)
-            if keep_problem:
-                entry.problem = jra
-            self._jra_cache[key] = entry
-        groups = tuple(find_top_k_groups(jra, top_k, spec.factory(top_k=top_k)))
+        groups = tuple(find_top_k_groups(entry.problem, top_k, spec.factory(top_k=top_k)))
         entry.answers[question] = groups
         return groups, cache_hit, False
-
-    def _ideal(self) -> IdealAssignment:
-        """The ideal assignment, read from the journal answer store.
-
-        A paper's ideal group is the answer to the journal question
-        (paper, ``delta_p``, full pool, BBA, top 1): the JRA problem
-        :func:`~repro.cra.ideal.ideal_assignment` solves with the same
-        solver.  Stored answers are reused; the other papers are solved
-        and their answers stored, without caching a sub-problem per paper
-        (at R = 120 and T = 30 a solved one holds ~90 KB).  No shortlist is built
-        and no journal query is counted.
-        """
-        problem = self._problem
-        spec = solver_spec("jra", "BBA")
-        assignment = Assignment()
-        paper_scores: dict[str, float] = {}
-        for paper in problem.papers:
-            (best,), _, _ = self._answer(
-                paper, problem.group_size, None, spec, 1, keep_problem=False
-            )
-            for reviewer_id in best.reviewer_ids:
-                assignment.add(reviewer_id, paper.id)
-            paper_scores[paper.id] = best.score
-        return IdealAssignment(
-            assignment=assignment,
-            score=float(sum(paper_scores.values())),
-            paper_scores=paper_scores,
-        )
 
     def _build_jra(
         self, paper: Paper, group_size: int, pool_size: int | None
@@ -1026,9 +999,7 @@ class AssignmentEngine:
         computed once and reused until the next mutation or assignment
         install.  The optimality ratio, the per-paper block and the bid
         satisfaction are computed on every call, since conflict edits and
-        bids change without a mutation.  The ratio's ideal assignment is
-        read from the journal answer store, so only the papers without a
-        stored full-pool BBA top-1 answer are solved.
+        bids change without a mutation.
 
         Raises
         ------
@@ -1053,11 +1024,7 @@ class AssignmentEngine:
             }
         payload = dict(self._evaluation)
         if include_ratio:
-            # Never stored: a conflict edit moves the ideal without a
-            # mutation event, and the store's version check follows it.
-            payload["optimality_ratio"] = optimality_ratio(
-                problem, self._assignment, ideal=self._ideal()
-            )
+            payload["optimality_ratio"] = optimality_ratio(problem, self._assignment)
         if include_per_paper:
             payload["per_paper"] = problem.paper_scores(self._assignment)
         if len(self._bids):
@@ -1137,9 +1104,7 @@ class AssignmentEngine:
             "last_solver": self._last_solver,
             "last_score": self._last_score,
             "num_bids": len(self._bids),
-            "jra_problems_cached": sum(
-                entry.problem is not None for entry in self._jra_cache.values()
-            ),
+            "jra_problems_cached": len(self._jra_cache),
             "journal_answers_cached": sum(
                 len(entry.answers) for entry in self._jra_cache.values()
             ),

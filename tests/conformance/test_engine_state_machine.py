@@ -4,8 +4,9 @@ Berkholz et al. (PAPERS.md, FO+MOD queries under updates) state the
 invariant this file checks: after every update, every answer equals an
 evaluation on the current database.  Hypothesis drives one engine through
 a random interleaving of late papers, withdrawals (infeasible ones roll
-back), conflict edits on the live container, bid updates, solves, journal
-queries and evaluations on a tiny instance (R <= 8, delta_p <= 3).
+back), conflict edits on the live container (single ones, and several in
+one step before a late paper), bid updates, solves, journal queries and
+evaluations on a tiny instance (R <= 8, delta_p <= 3).
 
 Every journal and evaluate answer must equal the answer of a cold engine
 over the same state, bitwise, errors included.  The cold engine is built
@@ -112,17 +113,14 @@ class EngineMachine(RuleBasedStateMachine):
 
     def answer_members(self, paper_id: str | None = None) -> list[str]:
         """Reviewers in the current answers to the questions asked so far
-        (about ``paper_id`` only, and its ideal group, if given), read from
-        a cold engine.
+        (about ``paper_id`` only, if given), read from a cold engine.
 
         Conflicts and withdrawals drawn from them hit a stored answer,
         where a stale one would show."""
         cold = self.cold()
         questions = self.asked
         if paper_id is not None:
-            ideal = {"paper": paper_id, "top_k": 1, "pool_size": None, "group_size": None}
             questions = [question for question in questions if question["paper"] == paper_id]
-            questions.append(ideal)
         members: set[str] = set()
         for question in questions:
             try:
@@ -176,6 +174,25 @@ class EngineMachine(RuleBasedStateMachine):
         pairs = sorted(self.problem.conflicts)
         if pairs:
             self.problem.conflicts.discard(*data.draw(st.sampled_from(pairs)))
+
+    @rule(data=st.data(), edits=st.integers(2, 4), then_add_paper=st.booleans())
+    def several_conflict_edits(
+        self, data: st.DataObject, edits: int, then_add_paper: bool
+    ) -> None:
+        """Conflict edits with no query between them, then perhaps a late paper.
+
+        The invariant queries after every step, which re-syncs the journal
+        cache with the live conflict version; only edits made within one
+        step can reach a late paper's copy of the conflict set, whose
+        version counter restarts at its pair count, unseen.
+        """
+        for _ in range(edits):
+            if data.draw(st.booleans()):
+                self.add_conflict(data)
+            else:
+                self.discard_conflict(data)
+        if then_add_paper:
+            self.add_paper(data.draw(st.booleans()))
 
     @rule(data=st.data())
     def update_bids(self, data: st.DataObject) -> None:

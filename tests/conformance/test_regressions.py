@@ -858,8 +858,7 @@ class TestTheOptimalityRatioFollowsConflictEdits:
     live container fires no mutation event, so after
     ``conflicts.add("reviewer-0003", "paper-0001")`` the memo answered the
     old ratio 0.9981285946241552 where the truth is 0.9984714216574778.
-    The ratio is computed on every call, and its ideal reads the answer
-    store through the store's conflict-version check.
+    The ratio is computed on every call.
     """
 
     def test_second_ratio_sees_the_new_conflict(self):
@@ -871,3 +870,39 @@ class TestTheOptimalityRatioFollowsConflictEdits:
         ratio = engine.evaluate(include_ratio=True)["optimality_ratio"]
         assert ratio == optimality_ratio(engine.problem, engine.assignment)
         assert ratio == 0.9984714216574778
+
+
+class TestConflictEditsBeforeALatePaperReachTheJournalCache:
+    """Conflict edits made between a journal query and a late paper were lost.
+
+    A late paper's problem holds a copy of the conflict set, whose version
+    counter restarts at its pair count, and the engine kept every cached
+    JRA sub-problem and stored answer across it.  After
+    ``conflicts.add(r1, p)``, queries on ``p`` and ``q`` (cache valid at
+    version 1), ``conflicts.discard(r1, p)`` and ``conflicts.add(r2, q)``
+    (version 3, one pair) and a late paper, the copy's version was 1 again:
+    nothing was dropped, ``p`` kept an answer that excluded ``r1`` and ``q``
+    one that held the now-conflicted ``r2``.  The engine now compares the
+    versions of the source container when a paper arrives, and only then
+    re-bases on the copy.
+    """
+
+    def test_journal_and_evaluate_agree_with_a_cold_engine(self):
+        problem = make_problem(12, 10, num_topics=8, group_size=3, reviewer_workload=5, seed=0)
+        engine = AssignmentEngine(problem)
+        engine.solve("Greedy")
+        p, q = "paper-0000", "paper-0001"
+        engine.problem.conflicts.add("reviewer-0001", p)
+        stale = {paper: engine.journal_query(paper, top_k=2).groups for paper in (p, q)}
+        engine.problem.conflicts.discard("reviewer-0001", p)
+        engine.problem.conflicts.add("reviewer-0003", q)
+        engine.add_paper(late_paper(engine.problem, "late"))
+        cold = AssignmentEngine(cold_clone(engine.problem), assignment=engine.assignment)
+        for paper in (p, q):
+            answer = engine.journal_query(paper, top_k=2).groups
+            assert answer == cold.journal_query(paper, top_k=2).groups
+            assert answer != stale[paper]
+        assert "reviewer-0001" in engine.journal_query(p).groups[0].reviewer_ids
+        assert "reviewer-0003" not in engine.journal_query(q).groups[0].reviewer_ids
+        ratio = engine.evaluate()["optimality_ratio"]
+        assert ratio == cold.evaluate()["optimality_ratio"]

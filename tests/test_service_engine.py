@@ -401,34 +401,17 @@ class TestJournalAnswerStore:
         assert len(solves) == 2
         assert engine.stats()["journal_answers_cached"] == 0
 
-    def test_the_ideal_reads_the_store_and_counts_no_queries(self, solved_engine, solves):
-        from repro.cra.ideal import ideal_assignment
-
-        engine = solved_engine
-        engine.journal_query(engine.problem.paper_ids[0])
-        ideal = engine._ideal()
-        assert len(solves) == engine.problem.num_papers
-        reference = ideal_assignment(engine.problem)
-        assert ideal.assignment == reference.assignment
-        assert ideal.score.hex() == reference.score.hex()
-        stats = engine.stats()
-        assert stats["journal_queries"] == 1
-        assert stats["journal_answer_hits"] == 0
-        # Answers for every paper, but no sub-problem per paper.
-        assert stats["journal_answers_cached"] == engine.problem.num_papers
-        assert stats["jra_problems_cached"] == 1
-
-    def test_a_second_default_evaluate_runs_no_solve(self, solved_engine, solves):
+    def test_evaluate_leaves_the_journal_cache_alone(self, solved_engine, solves):
         engine = solved_engine
         first = engine.evaluate()
-        assert len(solves) == engine.problem.num_papers
-        second = engine.evaluate()
-        assert len(solves) == engine.problem.num_papers
-        assert second == first and second is not first
-        late = _late_paper(engine.problem)
-        engine.add_paper(late, reviewer_workload=6)
-        engine.evaluate()
-        assert solves[engine.problem.num_papers - 1:] == [late.id]
+        assert len(solves) == 0  # the ratio's ideal is solved afresh, not stored
+        assert engine.stats()["jra_problems_cached"] == 0
+        paper_id = engine.problem.paper_ids[0]
+        hits = [engine.journal_query(paper_id, top_k=k).cache_hit for k in (1, 1, 3)]
+        assert hits == [False, True, True]
+        stats = engine.stats()
+        assert (stats["journal_cache_hits"], stats["journal_answer_hits"]) == (2, 1)
+        assert engine.evaluate() == first
 
     def test_each_evaluate_gets_its_own_payload_and_fresh_bid_satisfaction(
         self, solved_engine
