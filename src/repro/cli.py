@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     store_info = store_commands.add_parser(
-        "info", help="print a store's rows, indexes and maintenance counters"
+        "info", help="print a store's rows and maintenance counters"
     )
     store_info.add_argument("store", help="path of the SQLite store file")
 

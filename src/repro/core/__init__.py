@@ -10,7 +10,7 @@ from repro.core.assignment import Assignment
 from repro.core.constraints import ConflictOfInterest, WorkloadConstraints
 from repro.core.delta import PrunedCandidateGenerator, ViewStats
 from repro.core.dense import DenseProblem
-from repro.core.entities import Paper, Reviewer, ReviewerGroup
+from repro.core.entities import EntityIndex, Paper, Reviewer, ReviewerGroup
 from repro.core.problem import (
     JRAProblem,
     MutationListener,
@@ -48,6 +48,7 @@ __all__ = [
     "PrunedCandidateGenerator",
     "ViewStats",
     "WorkloadConstraints",
+    "EntityIndex",
     "Paper",
     "Reviewer",
     "ReviewerGroup",

@@ -189,8 +189,9 @@ def built_score_matrix(
     """Score ``problem``'s whole ``(R, P)`` matrix from scratch.
 
     The chain's matrix picks its medium here: block-by-block into the
-    bound store's :meth:`~repro.store.base.ProblemStore.matrix_backend`
-    when it has one (peak RAM one column block), else one RAM array.
+    problem's :attr:`~repro.core.problem.WGRAPProblem.score_blocks` when
+    a store has bound them (peak RAM one column block), else one RAM
+    array.
     Returns the read-only matrix and its :class:`ScoreBlocks` or ``None``.
     """
     num_reviewers, num_papers = problem.num_reviewers, problem.num_papers
@@ -199,8 +200,7 @@ def built_score_matrix(
     options = {} if parallel is None else {"parallel": parallel}
     score = partial(problem.scoring.score_matrix, problem.reviewer_matrix, **options)
     with TRACER.span("cache.full_build", reviewers=num_reviewers, papers=num_papers):
-        store = problem.entity_store
-        blocks = None if store is None else store.matrix_backend()
+        blocks = problem.score_blocks
         if blocks is None:
             scores, medium = score(papers), None
             scores.setflags(write=False)

@@ -8,14 +8,14 @@ indices managed by :class:`~repro.core.problem.WGRAPProblem`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.vectors import TopicVector, VectorLike, as_topic_vector
 from repro.exceptions import ConfigurationError
 
-__all__ = ["Reviewer", "Paper", "ReviewerGroup"]
+__all__ = ["Reviewer", "Paper", "ReviewerGroup", "EntityIndex"]
 
 
 @dataclass(frozen=True)
@@ -256,3 +256,27 @@ class ReviewerGroup:
         return ReviewerGroup(
             reviewer for reviewer in self._reviewers if reviewer.id != reviewer_id
         )
+
+
+class EntityIndex:
+    """Id/position bookkeeping of one kind of entity (papers or reviewers).
+
+    Maps each id to its position and rejects duplicate ids; the problem
+    models keep one per entity kind.
+    """
+
+    __slots__ = ("ids", "positions")
+
+    def __init__(self, ids: Sequence[str], kind: str) -> None:
+        self.ids: tuple[str, ...] = tuple(ids)
+        self.positions: dict[str, int] = {}
+        for position, identifier in enumerate(self.ids):
+            if identifier in self.positions:
+                raise ConfigurationError(f"duplicate {kind} id: {identifier!r}")
+            self.positions[identifier] = position
+
+    def index_of(self, identifier: str, kind: str) -> int:
+        try:
+            return self.positions[identifier]
+        except KeyError:
+            raise KeyError(f"unknown {kind} id: {identifier!r}") from None

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.assignment import Assignment
 from repro.core.constraints import ConflictOfInterest, WorkloadConstraints
-from repro.core.entities import Paper, Reviewer
+from repro.core.entities import EntityIndex, Paper, Reviewer
 from repro.core.scoring import ScoringFunction, get_scoring_function
 from repro.exceptions import (
     ConfigurationError,
@@ -30,14 +30,10 @@ from repro.exceptions import (
     InfeasibleProblemError,
 )
 
-# Entity id/position bookkeeping lives with the storage layer now, so every
-# backend shares it; the historical private name stays importable.
-from repro.store.base import EntityIndex as _EntityIndex
-
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
     from repro.core.dense import DenseProblem
     from repro.core.delta import ViewStats
-    from repro.store.base import ProblemStore
+    from repro.store.blocks import MemmapScoreStore
 
 __all__ = [
     "WGRAPProblem",
@@ -55,8 +51,10 @@ class ProblemVersions(NamedTuple):
     Papers and reviewers are immutable on a given instance, so their
     counters move only across derived problems (``with_additional_paper``
     bumps ``papers``, ``without_reviewer`` bumps ``reviewers``); the
-    conflict counter tracks the live
-    :class:`~repro.core.constraints.ConflictOfInterest` container.
+    conflict counter is the version of the live
+    :class:`~repro.core.constraints.ConflictOfInterest` container, which
+    every problem of a mutation chain shares, so it is one monotone
+    counter along the chain.
     Compiled views key their delta maintenance on these counters: a view
     whose recorded versions match needs no work, a moved conflict counter
     is absorbed by an in-place mask patch, and moved paper/reviewer
@@ -138,7 +136,8 @@ class WGRAPProblem:
         omitted, the minimal feasible workload
         ``ceil(P * delta_p / R)`` is used, matching the paper's experiments.
     conflicts:
-        Optional conflicts of interest.
+        Optional conflicts of interest (a container is copied: the new
+        problem starts a chain with its own conflict set).
     scoring:
         Scoring-function name or instance; defaults to weighted coverage.
     validate_capacity:
@@ -163,8 +162,8 @@ class WGRAPProblem:
             raise ConfigurationError("a WGRAP instance needs at least one reviewer")
         self._papers: tuple[Paper, ...] = tuple(papers)
         self._reviewers: tuple[Reviewer, ...] = tuple(reviewers)
-        self._paper_index = _EntityIndex([paper.id for paper in self._papers], "paper")
-        self._reviewer_index = _EntityIndex(
+        self._paper_index = EntityIndex([paper.id for paper in self._papers], "paper")
+        self._reviewer_index = EntityIndex(
             [reviewer.id for reviewer in self._reviewers], "reviewer"
         )
 
@@ -199,8 +198,8 @@ class WGRAPProblem:
         #: ``_pair_scores``' medium: ``ScoreArena``, ``ScoreBlocks`` or ``None``
         self._pair_medium = None
         self._dense_view: "DenseProblem | None" = None
-        #: bound store answering entity/candidate queries, or ``None``
-        self._entity_store: "ProblemStore | None" = None
+        #: memmap blocks of the store tracking this problem, or ``None``
+        self._score_blocks: "MemmapScoreStore | None" = None
         self._mutation_listeners: list[MutationListener] = []
         self._papers_version = 0
         self._reviewers_version = 0
@@ -254,7 +253,11 @@ class WGRAPProblem:
 
     @property
     def conflicts(self) -> ConflictOfInterest:
-        """The conflict-of-interest set (possibly empty)."""
+        """The live conflict-of-interest set (possibly empty).
+
+        Shared by every problem of the mutation chain, so an edit made
+        through any member reaches all of them.
+        """
         return self._conflicts
 
     @property
@@ -455,15 +458,7 @@ class WGRAPProblem:
         return not self._conflicts.is_conflict(reviewer_id, paper_id)
 
     def candidate_reviewers(self, paper_id: str) -> list[str]:
-        """Reviewer ids that may review ``paper_id`` (COIs removed), in problem order.
-
-        A bound store answers as an indexed anti-join; without one the
-        problem scans its own reviewers — identical output either way
-        (pinned by the store conformance grid).
-        """
-        store = self.entity_store
-        if store is not None:
-            return store.candidate_reviewers(paper_id)
+        """Reviewer ids that may review ``paper_id`` (COIs removed), in problem order."""
         forbidden = self._conflicts.reviewers_conflicting_with(paper_id)
         return [rid for rid in self.reviewer_ids if rid not in forbidden]
 
@@ -566,26 +561,21 @@ class WGRAPProblem:
         return True
 
     # ------------------------------------------------------------------
-    # Storage handles
+    # Storage handle
     # ------------------------------------------------------------------
     @property
-    def entity_store(self) -> "ProblemStore | None":
-        """The bound store that tracks this problem, or ``None``.
+    def score_blocks(self) -> "MemmapScoreStore | None":
+        """The memmap blocks a full score-matrix build writes into, or ``None``.
 
-        A persistent store binds itself here through
-        :meth:`bind_entity_store` when it loads or tracks the problem.  It
-        is only consulted while it still tracks *this* instance — after a
-        mutation rebinds it to the derived problem, this one answers from
-        its own entities, so an older chain member never reads newer state.
+        A store with blocks binds them here through :meth:`bind_score_blocks`
+        on the one problem it tracks, and unbinds them when it moves on to
+        a derived problem, so an older chain member builds in RAM.
         """
-        store = self._entity_store
-        if store is not None and store.tracks(self):
-            return store
-        return None
+        return self._score_blocks
 
-    def bind_entity_store(self, store: "ProblemStore") -> None:
-        """Route entity/candidate queries through ``store`` (see above)."""
-        self._entity_store = store
+    def bind_score_blocks(self, blocks: "MemmapScoreStore | None") -> None:
+        """Build this problem's score matrix in ``blocks`` (``None``: in RAM)."""
+        self._score_blocks = blocks
 
     # ------------------------------------------------------------------
     # Mutation hooks
@@ -611,6 +601,31 @@ class WGRAPProblem:
         except ValueError:
             pass
 
+    def _derived(
+        self,
+        papers: Sequence[Paper],
+        reviewers: Sequence[Reviewer],
+        reviewer_workload: int,
+    ) -> "WGRAPProblem":
+        """The next member of this problem's mutation chain.
+
+        It shares this problem's live conflict set (not a copy) and view
+        stats, and starts from its version counters.
+        """
+        derived = WGRAPProblem(
+            papers=papers,
+            reviewers=reviewers,
+            group_size=self.group_size,
+            reviewer_workload=reviewer_workload,
+            scoring=self._scoring,
+            validate_capacity=False,
+        )
+        derived._conflicts = self._conflicts
+        derived._papers_version = self._papers_version
+        derived._reviewers_version = self._reviewers_version
+        derived._view_stats = self.view_stats
+        return derived
+
     def _emit_mutation(self, mutation: ProblemMutation) -> None:
         mutation.result._mutation_listeners = list(self._mutation_listeners)
         for listener in list(self._mutation_listeners):
@@ -631,7 +646,8 @@ class WGRAPProblem:
         (``R`` evaluations instead of ``R * P``), a compiled dense view is
         derived through :func:`repro.core.delta.dense_view_with_paper`, and
         the reviewer matrix is shared outright.  Every carried array is
-        bitwise-equal to a cold rebuild.  Registered mutation listeners are
+        bitwise-equal to a cold rebuild.  The derived problem shares this
+        problem's live conflict set.  Registered mutation listeners are
         notified with an ``"add_paper"`` event and carried over to the
         result.
 
@@ -650,18 +666,8 @@ class WGRAPProblem:
         workload = (
             reviewer_workload if reviewer_workload is not None else self.reviewer_workload
         )
-        derived = WGRAPProblem(
-            papers=[*self._papers, paper],
-            reviewers=self._reviewers,
-            group_size=self.group_size,
-            reviewer_workload=workload,
-            conflicts=self._conflicts,
-            scoring=self._scoring,
-            validate_capacity=False,
-        )
-        derived._papers_version = self._papers_version + 1
-        derived._reviewers_version = self._reviewers_version
-        derived._view_stats = self.view_stats
+        derived = self._derived([*self._papers, paper], self._reviewers, workload)
+        derived._papers_version += 1
         self._apply_add_paper_delta(derived, paper, pair_score_column)
         self._emit_mutation(
             ProblemMutation(
@@ -715,7 +721,8 @@ class WGRAPProblem:
         matrix and the compiled dense view lose one row with **zero**
         re-scoring (pair relations are independent across reviewers), and
         the paper-side arrays are shared outright (see
-        :func:`repro.core.delta.dense_view_without_reviewer`).  Registered
+        :func:`repro.core.delta.dense_view_without_reviewer`).  The derived
+        problem shares this problem's live conflict set.  Registered
         mutation listeners are notified with a ``"remove_reviewer"`` event
         and carried over to the result.
 
@@ -732,18 +739,8 @@ class WGRAPProblem:
         ]
         if not remaining:
             raise InfeasibleProblemError("cannot withdraw the only reviewer in the pool")
-        derived = WGRAPProblem(
-            papers=self._papers,
-            reviewers=remaining,
-            group_size=self.group_size,
-            reviewer_workload=self.reviewer_workload,
-            conflicts=self._conflicts,
-            scoring=self._scoring,
-            validate_capacity=False,
-        )
-        derived._papers_version = self._papers_version
-        derived._reviewers_version = self._reviewers_version + 1
-        derived._view_stats = self.view_stats
+        derived = self._derived(self._papers, remaining, self.reviewer_workload)
+        derived._reviewers_version += 1
         self._apply_remove_reviewer_delta(derived, reviewer_id, row)
         self._emit_mutation(
             ProblemMutation(
@@ -788,20 +785,26 @@ class WGRAPProblem:
     # ------------------------------------------------------------------
     # Derived problems
     # ------------------------------------------------------------------
-    def to_jra(self, paper: Paper | str) -> "JRAProblem":
-        """The JRA sub-problem of finding a group for a single paper."""
+    def to_jra(self, paper: Paper | str, group_size: int | None = None) -> "JRAProblem":
+        """The JRA sub-problem of finding a group for a single paper.
+
+        ``paper`` is an id of this problem or a :class:`Paper`, which may be
+        an inline one outside the problem; either way every reviewer with a
+        conflict declared for its id is excluded.  ``group_size`` overrides
+        ``delta_p``.
+        """
         paper_obj = self.paper_by_id(paper) if isinstance(paper, str) else paper
         excluded = self._conflicts.reviewers_conflicting_with(paper_obj.id)
         return JRAProblem(
             paper=paper_obj,
             reviewers=self._reviewers,
-            group_size=self.group_size,
+            group_size=self.group_size if group_size is None else group_size,
             excluded_reviewers=excluded,
             scoring=self._scoring,
         )
 
     def with_scoring(self, scoring: str | ScoringFunction) -> "WGRAPProblem":
-        """A copy of this problem evaluated under a different scoring function."""
+        """A copy of this problem (with its own conflict set) under another scoring."""
         return WGRAPProblem(
             papers=self._papers,
             reviewers=self._reviewers,
@@ -813,7 +816,7 @@ class WGRAPProblem:
         )
 
     def with_reviewers(self, reviewers: Sequence[Reviewer]) -> "WGRAPProblem":
-        """A copy of this problem with a replaced reviewer pool.
+        """A copy of this problem (with its own conflict set) and another reviewer pool.
 
         Used by the h-index expertise-scaling experiment (Appendix C), which
         rescales every reviewer vector but keeps everything else fixed.
@@ -879,7 +882,7 @@ class JRAProblem:
         self._excluded = excluded
         self._group_size = group_size
         self._scoring = get_scoring_function(scoring)
-        self._index = _EntityIndex([reviewer.id for reviewer in candidates], "reviewer")
+        self._index = EntityIndex([reviewer.id for reviewer in candidates], "reviewer")
         self._reviewer_matrix: np.ndarray | None = None
         self._sorted_topic_lists: tuple[np.ndarray, np.ndarray] | None = None
 

@@ -11,7 +11,10 @@ This module completes such assignments:
 * when a paper is *deadlocked* — the only reviewers with spare capacity are
   already in its group — with a single augmenting swap that moves a member
   of another paper's group over and back-fills that paper with a
-  spare-capacity reviewer, which preserves every constraint.
+  spare-capacity reviewer, which preserves every constraint (or, failing
+  that, a longer chain of such moves);
+* when no refill staffs every short paper at once, by advancing one short
+  paper through the same swap or chain and retrying.
 
 When the assignment is already complete the repair is a no-op.  The input
 assignment is never modified; a completed copy is returned.
@@ -90,9 +93,18 @@ def complete_assignment(problem: WGRAPProblem, assignment: Assignment) -> Assign
                     )
             continue  # loads changed; rebuild the refill inputs
 
-        result = solve_capacitated_assignment(
-            gains, np.maximum(capacities, 0), forbidden=forbidden
-        )
+        try:
+            result = solve_capacitated_assignment(
+                gains, np.maximum(capacities, 0), forbidden=forbidden
+            )
+        except InfeasibleProblemError:
+            # Every short paper has a candidate, but no one-per-paper refill
+            # staffs them all at once: advance one by a swap or chain, retry.
+            if not any(
+                _resolve_deadlock(problem, completed, paper_id) for paper_id in missing
+            ):
+                raise
+            continue
         for row, paper_id in enumerate(missing):
             completed.add(problem.reviewer_ids[result.row_to_col[row]], paper_id)
 

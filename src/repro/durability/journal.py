@@ -304,7 +304,7 @@ class TenantJournal:
             if "store" in payload:
                 # Store-backed tenant: the instance lives in the store file
                 # (rolled back to its last sync = this checkpoint); replaying
-                # the WAL tail re-applies the lost index deltas through the
+                # the WAL tail re-applies the lost row deltas through the
                 # engine's attached-store listener.
                 from repro.store.sqlite import SqliteProblemStore
 

@@ -77,12 +77,17 @@ class BidMatrix:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def set(self, reviewer_id: str, paper_id: str, value: float) -> None:
-        """Record a bid; values must lie in ``[0, 1]``."""
+    @staticmethod
+    def check(reviewer_id: str, paper_id: str, value: float) -> None:
+        """Raise :class:`ConfigurationError` unless :meth:`set` accepts the bid."""
         if not 0.0 <= value <= 1.0:
             raise ConfigurationError("bid values must lie in [0, 1]")
         if not reviewer_id or not paper_id:
             raise ConfigurationError("bids need non-empty identifiers")
+
+    def set(self, reviewer_id: str, paper_id: str, value: float) -> None:
+        """Record a bid; values must lie in ``[0, 1]``."""
+        self.check(reviewer_id, paper_id, value)
         self._bids[(reviewer_id, paper_id)] = float(value)
 
     @classmethod

@@ -19,7 +19,8 @@ incremental mutations (one score-matrix column appended, one row dropped)
 and reports the resulting delta — so long-running callers get the exact
 set of changed pairs instead of having to diff two assignments.  Both
 functions return a *new* problem and a *new* assignment; the inputs are
-never mutated.
+never mutated (the new problem, like every derivation, shares the
+input's live conflict set).
 
 Conflict-version discipline (audited in PR 5, the same staleness class
 fixed in the engine's JRA sub-problem cache in PR 4): every cached input

@@ -46,7 +46,7 @@ SPAN_NAMES: dict[str, str] = {
     "portfolio.race": "run_portfolio: race the solver lineup (serial or process pool)",
     "store.open": "SqliteProblemStore.create/open: schema setup or compile-time bulk load",
     "store.compile": "SqliteProblemStore.load_problem: materialise the instance from rows",
-    "store.index_update": "SqliteProblemStore: one mutation or conflict-tail index delta",
+    "store.index_update": "SqliteProblemStore: one mutation or conflict-tail row delta",
     "store.block_io": "MemmapScoreStore: blockwise build/write/append/drop traffic",
     "net.batch": "Tenant worker: one cross-client batch drained through the session",
     "durability.checkpoint": "TenantJournal.checkpoint: atomic snapshot write + WAL rotation",
@@ -79,7 +79,7 @@ METRIC_NAMES: dict[str, str] = {
     "solver.<name>.seconds": "histogram: per-solver wall time (process-global registry)",
     "cache.<stat>": "gauge: absorbed score-matrix and ranking counters (CacheStats)",
     "delta.<stat>": "gauge: absorbed dense-view ViewStats counters",
-    "store.<stat>": "gauge: absorbed ProblemStore row/index/block counters (store.describe())",
+    "store.<stat>": "gauge: absorbed SqliteProblemStore row/block counters (store.describe())",
     "service.net.connections": "client connections accepted by the TCP server",
     "service.net.open_connections": "gauge: currently connected clients",
     "service.net.requests": "non-blank request frames received on the wire",

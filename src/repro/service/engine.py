@@ -38,7 +38,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -68,7 +68,9 @@ from repro.parallel.config import ParallelConfig
 from repro.parallel.portfolio import DEFAULT_PORTFOLIO, PortfolioOutcome, run_portfolio
 from repro.service.cache import ScoreMatrixCache
 from repro.service.registry import SolverSpec, create_solver, solver_spec
-from repro.store.base import ProblemStore
+
+if TYPE_CHECKING:  # pragma: no cover - the store loads only when one is opened
+    from repro.store.sqlite import SqliteProblemStore
 
 TRACER = get_tracer()
 
@@ -233,7 +235,7 @@ class AssignmentEngine:
         bids: BidMatrix | None = None,
         parallel: ParallelConfig | None = None,
         registry: MetricsRegistry | None = None,
-        store: "ProblemStore | None" = None,
+        store: "SqliteProblemStore | None" = None,
     ) -> None:
         self._problem = problem
         self._root_problem = problem
@@ -249,9 +251,9 @@ class AssignmentEngine:
         self._assignment_valid_at: int | None = None
         self._bids = bids if bids is not None else BidMatrix()
         self._parallel = parallel
-        #: optional durable problem store; attached first so its index
-        #: deltas follow the same mutation chain, entity queries route
-        #: through the indexed backend and the matrix builds in its blocks.
+        #: optional durable problem store; attached first so its row
+        #: deltas follow the same mutation chain and the matrix builds in
+        #: its blocks.
         self._store = store
         if store is not None:
             store.attach(problem)
@@ -316,7 +318,7 @@ class AssignmentEngine:
         return self._parallel
 
     @property
-    def store(self) -> "ProblemStore | None":
+    def store(self) -> "SqliteProblemStore | None":
         """The durable problem store, or ``None`` for in-RAM engines."""
         return self._store
 
@@ -388,13 +390,6 @@ class AssignmentEngine:
         self._problem.remove_mutation_listener(self._listener)
 
     def _on_mutation(self, mutation: ProblemMutation) -> None:
-        # A derived problem copies the conflict set, and the copy's version
-        # counter restarts at its pair count: versions compare only within
-        # one container, so check the source's before the swap.
-        conflicts_current = (
-            mutation.source.conflicts is self._problem.conflicts
-            and self._jra_cache_version == mutation.source.conflicts.version
-        )
         self._cache.apply_mutation(mutation)
         self._problem = mutation.result
         self._revision += 1
@@ -405,22 +400,20 @@ class AssignmentEngine:
         # leave it void until the next full validation.
         self._assignment_valid_at = None
         self._evaluation = None
-        if mutation.kind == "remove_reviewer" or not conflicts_current:
-            # Candidate pools changed for every paper, or conflict edits
-            # made since the last journal query would hide in the copy.
+        if mutation.kind == "remove_reviewer":
+            # Candidate pools changed for every paper.  A late paper changes
+            # no cached sub-problem; conflict edits are caught by _answer.
             self._drop_jra_cache()
-        else:
-            # A late paper changes no cached sub-problem: re-base on the copy.
-            self._jra_cache_version = self._problem.conflicts.version
 
     def _drop_jra_cache(self) -> None:
         """Forget every cached JRA sub-problem and the answers solved on it.
 
         The one invalidation path of the journal answers: a withdrawal
         (committed or rolled back) and a moved conflict version change
-        candidate pools.  A late paper or a bid update changes no cached
-        sub-problem, so every answer survives them (unless conflict edits
-        made since the last query reach the late paper's problem).
+        candidate pools.  The chain shares one conflict set, so its
+        version moves on every edit, whichever chain member it was made
+        through.  A late paper or a bid update changes no cached
+        sub-problem, so every answer survives them.
         """
         self._jra_cache.clear()
         self._jra_cache_version = self._problem.conflicts.version
@@ -599,13 +592,9 @@ class AssignmentEngine:
                     "pool_size pruning needs a cached score column; "
                     "add the paper to the problem first"
                 )
-            # Not part of the problem, so nothing is stored for it.
-            jra = JRAProblem(
-                paper=paper_obj,
-                reviewers=self._problem.reviewers,
-                group_size=size,
-                scoring=self._problem.scoring,
-            )
+            # Not part of the problem, so nothing is stored for it; conflicts
+            # declared for its id still apply.
+            jra = self._problem.to_jra(paper_obj, size)
             groups = tuple(find_top_k_groups(jra, top_k, spec.factory(top_k=top_k)))
             cache_hit = answer_hit = False
         else:
@@ -971,14 +960,16 @@ class AssignmentEngine:
     def update_bids(self, bids: Any) -> int:
         """Merge ``(reviewer_id, paper_id, value)`` bid triples.
 
-        Unknown reviewer or paper ids are rejected (with :class:`KeyError`)
-        before anything is applied, so a bad batch never half-commits.
-        Returns the number of bids recorded.
+        Unknown reviewer or paper ids (:class:`KeyError`) and values
+        :meth:`BidMatrix.set` refuses (:class:`ConfigurationError`) are
+        rejected before anything is applied, so a bad batch never
+        half-commits.  Returns the number of bids recorded.
         """
         triples = [(str(r), str(p), float(v)) for r, p, v in bids]
-        for reviewer_id, paper_id, _ in triples:
+        for reviewer_id, paper_id, value in triples:
             self._problem.reviewer_index(reviewer_id)
             self._problem.paper_index(paper_id)
+            BidMatrix.check(reviewer_id, paper_id, value)
         for reviewer_id, paper_id, value in triples:
             self._bids.set(reviewer_id, paper_id, value)
         if self._store is not None:
@@ -1169,7 +1160,7 @@ class AssignmentEngine:
     @classmethod
     def from_store(
         cls,
-        store: "ProblemStore",
+        store: "SqliteProblemStore",
         *,
         assignment: Assignment | None = None,
         bids: Any = None,
@@ -1180,7 +1171,7 @@ class AssignmentEngine:
 
         The problem is materialised from the store, bids default to the
         store's persisted ones, and the engine keeps the store attached:
-        mutations become transactional index deltas, committed at
+        mutations become transactional row deltas, committed at
         :meth:`sync_store` (which is what checkpoints call).
         """
         problem = store.load_problem()

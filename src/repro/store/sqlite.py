@@ -6,21 +6,20 @@ The instance is compiled into a normalized relational schema (stdlib
     meta(key, value)                      -- schema version, constraints, scoring
     reviewers(pos, id, name, h_index, vector)
     papers(pos, id, title, abstract, vector)
-    conflicts(reviewer_id, paper_id)      -- PK (reviewer, paper) + by-paper index
+    conflicts(reviewer_id, paper_id)      -- PK (reviewer, paper)
     bids(reviewer_id, paper_id, value)
 
 Topic vectors are raw little-endian float64 blobs, so a load round-trips
 **bitwise** — store-backed solves are bit-identical to the in-RAM oracle
 (pinned by ``tests/conformance/test_store_conformance.py``).
 
-``conflicts(paper_id, reviewer_id)`` turns candidate filtering into an
-indexed anti-join, replacing the scan over all reviewer objects.
-
-The store follows a live problem chain (:meth:`attach`): ``add_paper`` /
-``remove_reviewer`` events and conflict changelog tails are translated
-into **transactional index deltas** inside one long-running SQLite
-transaction that only commits at :meth:`sync` — so a crash rolls the
-store back exactly to the last checkpoint, matching the WAL-replay
+The store only persists.  The problem chain owns the entities and the one
+live conflict set and answers every query; the store follows the chain
+(:meth:`SqliteProblemStore.attach`), translating ``add_paper`` /
+``remove_reviewer`` events and the conflict changelog tail into
+**transactional row deltas** inside one long-running SQLite transaction
+that only commits at :meth:`SqliteProblemStore.sync` — so a crash rolls
+the store back exactly to the last checkpoint, matching the WAL-replay
 contract of :mod:`repro.durability`.
 """
 
@@ -29,6 +28,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import weakref
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -39,7 +39,6 @@ from repro.core.entities import Paper, Reviewer
 from repro.core.vectors import TopicVector
 from repro.exceptions import ConfigurationError, UnsupportedFormatError
 from repro.obs.trace import get_tracer
-from repro.store.base import ProblemStore
 from repro.store.blocks import MemmapScoreStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 TRACER = get_tracer()
 
-__all__ = ["SCHEMA_VERSION", "SqliteProblemStore"]
+__all__ = ["SCHEMA_VERSION", "SqliteProblemStore", "StoreStats"]
 
 SCHEMA_VERSION = 1
 
@@ -75,8 +74,6 @@ CREATE TABLE IF NOT EXISTS conflicts(
     paper_id    TEXT NOT NULL,
     PRIMARY KEY (reviewer_id, paper_id)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS conflicts_by_paper
-    ON conflicts(paper_id, reviewer_id);
 CREATE TABLE IF NOT EXISTS bids(
     reviewer_id TEXT NOT NULL,
     paper_id    TEXT NOT NULL,
@@ -84,9 +81,6 @@ CREATE TABLE IF NOT EXISTS bids(
     PRIMARY KEY (reviewer_id, paper_id)
 ) WITHOUT ROWID;
 """
-
-#: the indexes the schema maintains, for ``store info`` and the docs
-INDEXES = ("conflicts_by_paper",)
 
 
 def _vector_blob(vector: TopicVector) -> bytes:
@@ -97,18 +91,54 @@ def _vector_from_blob(blob: bytes) -> TopicVector:
     return TopicVector(np.frombuffer(blob, dtype="<f8"))
 
 
-class SqliteProblemStore(ProblemStore):
+@dataclass
+class StoreStats:
+    """Counters describing the work a problem store has done.
+
+    Attributes
+    ----------
+    index_updates:
+        Mutation events translated into incremental row deltas.
+    conflict_deltas:
+        Conflict changelog entries replayed into the store.
+    rebuilds:
+        Conservative full rebuilds (a branched chain, an unknown mutation
+        kind or a compacted conflict changelog) — the thing incremental
+        maintenance avoids.
+    syncs:
+        Explicit :meth:`SqliteProblemStore.sync` commits.
+    loads:
+        Full problem materialisations (:meth:`SqliteProblemStore.load_problem`).
+    """
+
+    index_updates: int = 0
+    conflict_deltas: int = 0
+    rebuilds: int = 0
+    syncs: int = 0
+    loads: int = 0
+
+    def as_dict(self) -> dict[str, int]:
+        return asdict(self)
+
+
+class SqliteProblemStore:
     """One WGRAP instance persisted in one SQLite file.
+
+    The store can *materialise* the instance (:meth:`load_problem`),
+    *follow* a live mutation chain (:meth:`attach`) and commit what it
+    followed (:meth:`sync`).  An engine owns at most one store per tenant;
+    without one, the problem chain alone holds the instance.
 
     Single-writer by design (each tenant's store lives on that tenant's
     worker thread — the same discipline the journal follows), hence
     ``check_same_thread=False`` with external serialisation.
     """
 
+    #: store tag, reported by describe() and stats
     kind = "sqlite"
 
     def __init__(self, path: str | Path, _create: bool = False) -> None:
-        super().__init__()
+        self.stats = StoreStats()
         self._path = Path(path)
         if not _create and not self._path.exists():
             raise ConfigurationError(f"no problem store at {self._path}")
@@ -125,13 +155,24 @@ class SqliteProblemStore(ProblemStore):
             if found != str(SCHEMA_VERSION):
                 self._conn.close()
                 raise UnsupportedFormatError("problem store schema", found, SCHEMA_VERSION)
-        # One long-running transaction: every index delta lands inside it
+        # One long-running transaction: every row delta lands inside it
         # and only sync()/close() commit — a crash rolls back to the last
         # checkpoint, which is exactly what WAL-tail replay expects.
         self._conn.execute("BEGIN")
         self._problem_ref: Any = None
-        self._listener = None
+        #: conflict version of the tracked problem the rows reflect
         self._conflict_seen = 0
+        store_ref = weakref.ref(self)
+
+        def listener(mutation: "ProblemMutation") -> None:
+            store = store_ref()
+            if store is None:
+                mutation.source.remove_mutation_listener(listener)
+                mutation.result.remove_mutation_listener(listener)
+                return
+            store._on_mutation(mutation)
+
+        self._listener = listener
         self._blocks: MemmapScoreStore | None = None
         if self._get_meta("blocks") == "1":
             self._blocks = MemmapScoreStore(
@@ -181,6 +222,7 @@ class SqliteProblemStore(ProblemStore):
 
     @property
     def path(self) -> Path:
+        """The store file."""
         return self._path
 
     @property
@@ -230,6 +272,7 @@ class SqliteProblemStore(ProblemStore):
             "INSERT INTO conflicts(reviewer_id, paper_id) VALUES (?, ?)",
             [tuple(pair) for pair in problem.conflicts],
         )
+        self._conflict_seen = problem.conflicts.version
 
     def _rebuild(self, problem: "WGRAPProblem") -> None:
         """Conservative full rebuild — only for unknown mutation kinds or
@@ -242,45 +285,40 @@ class SqliteProblemStore(ProblemStore):
     # ------------------------------------------------------------------
     def attach(self, problem: "WGRAPProblem") -> None:
         """Follow ``problem``'s mutation chain with transactional deltas."""
-        tracked = self._problem_ref() if self._problem_ref is not None else None
-        if tracked is not None and tracked is not problem:
+        tracked = self._tracked()
+        if tracked is None:
+            self._conflict_seen = problem.conflicts.version
+        elif tracked is not problem:
             # Re-attached to a different chain member (e.g. the engine's
             # withdraw rollback): the rows may no longer match — rebase.
             self._rebuild(problem)
+        self._follow(problem)
+
+    def _tracked(self) -> "WGRAPProblem | None":
+        """The problem the rows mirror, while it is alive."""
+        return None if self._problem_ref is None else self._problem_ref()
+
+    def _follow(self, problem: "WGRAPProblem") -> None:
+        """Mirror ``problem`` from now on; only it builds into the blocks."""
+        previous = self._tracked()
+        if previous is not None and previous is not problem:
+            previous.bind_score_blocks(None)
         self._problem_ref = weakref.ref(problem)
-        self._conflict_seen = problem.conflicts.version
-        problem.bind_entity_store(self)
-        if self._listener is None:
-            store_ref = weakref.ref(self)
-
-            def listener(mutation: "ProblemMutation") -> None:
-                store = store_ref()
-                if store is None:
-                    mutation.source.remove_mutation_listener(listener)
-                    mutation.result.remove_mutation_listener(listener)
-                    return
-                store._on_mutation(mutation)
-
-            self._listener = listener
-        # Register on *this* problem too: listeners carry down a mutation
-        # chain, but a freshly materialised problem (load_problem) or a
-        # rollback rebase starts a new chain the old subscription never
-        # reaches.  add_mutation_listener is idempotent.
+        problem.bind_score_blocks(self._blocks)
+        # Listeners carry down a mutation chain, but a freshly materialised
+        # problem (load_problem) or a rollback rebase starts a new chain the
+        # old subscription never reaches.  add_mutation_listener is idempotent.
         problem.add_mutation_listener(self._listener)
 
-    def tracks(self, problem: "WGRAPProblem") -> bool:
-        return self._problem_ref is not None and self._problem_ref() is problem
-
     def _on_mutation(self, mutation: "ProblemMutation") -> None:
+        # The source and the result share one conflict set, so the
+        # changelog cursor stays valid across the mutation; the tail is
+        # replayed at the next sync, close, describe or load.
         with TRACER.span("store.index_update", kind=mutation.kind):
-            tracked = self._problem_ref() if self._problem_ref is not None else None
-            if tracked is not mutation.source:
+            if self._tracked() is not mutation.source:
                 # A branched or unknown chain: rebase on the result.
                 self._rebuild(mutation.result)
             elif mutation.kind == "add_paper":
-                # Flush the source container's conflict tail first — the
-                # derived problem's container restarts its changelog.
-                self._replay_conflicts(mutation.source)
                 for paper_id in mutation.papers:
                     paper = mutation.result.paper_by_id(paper_id)
                     self._conn.execute(
@@ -290,7 +328,6 @@ class SqliteProblemStore(ProblemStore):
                     )
                 self.stats.index_updates += 1
             elif mutation.kind == "remove_reviewer":
-                self._replay_conflicts(mutation.source)
                 for reviewer_id in mutation.reviewers:
                     row = self._conn.execute(
                         "SELECT pos FROM reviewers WHERE id = ?", (reviewer_id,)
@@ -317,14 +354,11 @@ class SqliteProblemStore(ProblemStore):
                 self._set_meta("group_size", str(result.group_size))
             if self._get_meta("reviewer_workload") != str(result.reviewer_workload):
                 self._set_meta("reviewer_workload", str(result.reviewer_workload))
-        self._problem_ref = weakref.ref(mutation.result)
-        self._conflict_seen = mutation.result.conflicts.version
-        mutation.result.bind_entity_store(self)
+        self._follow(mutation.result)
 
-    def _replay_conflicts(self, problem: "WGRAPProblem | None" = None) -> None:
-        """Translate the conflict changelog tail into row deltas."""
-        if problem is None:
-            problem = self._problem_ref() if self._problem_ref is not None else None
+    def _replay_conflicts(self) -> None:
+        """Translate the tracked problem's conflict changelog tail into row deltas."""
+        problem = self._tracked()
         if problem is None:
             return
         conflicts = problem.conflicts
@@ -365,8 +399,10 @@ class SqliteProblemStore(ProblemStore):
     # Materialisation
     # ------------------------------------------------------------------
     def load_problem(self) -> "WGRAPProblem":
+        """Materialise the stored instance as a :class:`WGRAPProblem` and follow it."""
         from repro.core.problem import WGRAPProblem
 
+        self._replay_conflicts()
         with TRACER.span("store.compile", path=str(self._path)):
             group_size = int(self._require_meta("group_size"))
             reviewer_workload = int(self._require_meta("reviewer_workload"))
@@ -413,10 +449,10 @@ class SqliteProblemStore(ProblemStore):
             )
         self.stats.loads += 1
         # The materialised problem mirrors the rows by construction, so
-        # take over tracking directly — a subsequent attach() must not
-        # mistake it for a foreign chain and trigger a full rebuild.
-        self._problem_ref = None
-        self.attach(problem)
+        # follow it directly, without the rebuild attach() makes for a
+        # different problem.
+        self._conflict_seen = problem.conflicts.version
+        self._follow(problem)
         return problem
 
     def _require_meta(self, key: str) -> str:
@@ -428,26 +464,10 @@ class SqliteProblemStore(ProblemStore):
         return value
 
     # ------------------------------------------------------------------
-    # Candidate generation (the indexed path)
-    # ------------------------------------------------------------------
-    def candidate_reviewers(self, paper_id: str) -> list[str]:
-        """Indexed anti-join replacing the reviewer scan (same output)."""
-        self._replay_conflicts()
-        self.stats.index_hits += 1
-        return [
-            str(row[0])
-            for row in self._conn.execute(
-                "SELECT id FROM reviewers WHERE id NOT IN "
-                "(SELECT reviewer_id FROM conflicts WHERE paper_id = ?) "
-                "ORDER BY pos",
-                (paper_id,),
-            )
-        ]
-
-    # ------------------------------------------------------------------
     # Adjacent state
     # ------------------------------------------------------------------
     def record_bids(self, bids: Iterable[tuple[str, str, float]]) -> int:
+        """Persist bid triples; returns the number recorded."""
         triples = [(str(r), str(p), float(v)) for r, p, v in bids]
         self._conn.executemany(
             "INSERT OR REPLACE INTO bids(reviewer_id, paper_id, value) VALUES (?, ?, ?)",
@@ -456,6 +476,7 @@ class SqliteProblemStore(ProblemStore):
         return len(triples)
 
     def load_bids(self) -> tuple[tuple[str, str, float], ...]:
+        """All persisted bids, ordered by (reviewer_id, paper_id)."""
         return tuple(
             (str(row[0]), str(row[1]), float(row[2]))
             for row in self._conn.execute(
@@ -468,6 +489,7 @@ class SqliteProblemStore(ProblemStore):
     # Lifecycle
     # ------------------------------------------------------------------
     def matrix_backend(self) -> MemmapScoreStore | None:
+        """The memmap blocks the tracked problem's score matrix builds in, or ``None``."""
         return self._blocks
 
     def sync(self) -> None:
@@ -480,6 +502,7 @@ class SqliteProblemStore(ProblemStore):
         self.stats.syncs += 1
 
     def close(self) -> None:
+        """Commit and release resources; the store is unusable afterwards."""
         self._replay_conflicts()
         self._conn.execute("COMMIT")
         self._conn.close()
@@ -500,16 +523,17 @@ class SqliteProblemStore(ProblemStore):
         return int(self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0])
 
     def describe(self) -> dict[str, Any]:
+        """Row counts and counters for ``stats`` requests and ``store info``."""
         self._replay_conflicts()
         payload: dict[str, Any] = {
-            **super().describe(),
+            "kind": self.kind,
+            **self.stats.as_dict(),
             "path": str(self._path),
             "schema_version": SCHEMA_VERSION,
             "reviewer_rows": self._count_rows("reviewers"),
             "paper_rows": self._count_rows("papers"),
             "conflict_rows": self._count_rows("conflicts"),
             "bid_rows": self._count_rows("bids"),
-            "indexes": list(INDEXES),
             "meta": {
                 str(key): str(value)
                 for key, value in self._conn.execute("SELECT key, value FROM meta")

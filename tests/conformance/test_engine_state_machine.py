@@ -28,14 +28,14 @@ import json
 import math
 from typing import Any, Callable
 
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.problem import WGRAPProblem
 from repro.core.scoring import available_scoring_functions
 from repro.data.synthetic import make_problem
-from repro.exceptions import ReproError
+from repro.exceptions import InfeasibleProblemError, ReproError
 from repro.extensions.bidding import BidMatrix
 from repro.metrics.quality import optimality_ratio
 from repro.service.engine import AssignmentEngine
@@ -140,7 +140,11 @@ class EngineMachine(RuleBasedStateMachine):
     # -- set-up and mutations ---------------------------------------------
     @initialize(spec=instances())
     def build(self, spec: dict) -> None:
-        self.engine = AssignmentEngine(make_problem(**spec))
+        try:
+            problem = make_problem(**spec)
+        except InfeasibleProblemError:  # conflicts can leave a paper short
+            assume(False)
+        self.engine = AssignmentEngine(problem)
 
     @rule(solver=st.sampled_from(["Greedy", "SDGA"]))
     def solve(self, solver: str) -> None:
@@ -183,8 +187,8 @@ class EngineMachine(RuleBasedStateMachine):
 
         The invariant queries after every step, which re-syncs the journal
         cache with the live conflict version; only edits made within one
-        step can reach a late paper's copy of the conflict set, whose
-        version counter restarts at its pair count, unseen.
+        step reach a late paper unqueried, so only this rule checks that
+        the late paper's problem, which shares the conflict set, sees them.
         """
         for _ in range(edits):
             if data.draw(st.booleans()):

@@ -29,6 +29,7 @@ from repro.service.session import EngineSession, serve_stream
 from repro.store import SqliteProblemStore
 from tests.conformance import GRID, apply_chain, cold_clone, late_paper, make_instance
 from tests.oracles import LazyHeapGreedy, reference_solver
+from tests.oracles.flow import has_feasible_assignment
 from tests.net_utils import ServerHarness
 
 
@@ -906,3 +907,96 @@ class TestConflictEditsBeforeALatePaperReachTheJournalCache:
         assert "reviewer-0003" not in engine.journal_query(q).groups[0].reviewer_ids
         ratio = engine.evaluate()["optimality_ratio"]
         assert ratio == cold.evaluate()["optimality_ratio"]
+
+
+class TestBidBatchesAreCheckedBeforeTheFirstBid:
+    """``update_bids`` half-committed a batch with an out-of-range value.
+
+    The engine checked every id before the first ``BidMatrix.set``, but not
+    the values.  On ``make_problem(6, 8, num_topics=5, group_size=2,
+    seed=4)`` the batch below answered ``ok: false`` / ``configuration``,
+    yet its first bid stayed recorded, ``bid_updates`` stayed 0 and a bound
+    store never saw the bid, so the store and the engine disagreed.  The
+    whole batch, ids and values, is now checked before the first bid.
+    """
+
+    BATCH = [["reviewer-0000", "paper-0000", 0.5], ["reviewer-0001", "paper-0001", 1.5]]
+
+    def _problem(self):
+        return make_problem(6, 8, num_topics=5, group_size=2, seed=4)
+
+    def _refuse_the_batch(self, engine):
+        response = EngineSession(engine).dispatch(
+            request_from_dict({"kind": "update_bids", "bids": self.BATCH})
+        )
+        assert not response.ok
+        assert response.error_type == "configuration"
+
+    def test_no_bid_is_recorded(self):
+        engine = AssignmentEngine(self._problem())
+        self._refuse_the_batch(engine)
+        assert len(engine.bids) == 0
+        assert engine.stats()["bid_updates"] == 0
+
+    def test_the_store_holds_the_engine_bids(self, tmp_path):
+        store = SqliteProblemStore.create(tmp_path / "bids.db", self._problem())
+        engine = AssignmentEngine.from_store(store)
+        try:
+            engine.update_bids([("reviewer-0002", "paper-0002", 0.25)])
+            self._refuse_the_batch(engine)
+            assert store.load_bids() == tuple(engine.bids.pairs())
+            assert store.load_bids() == (("reviewer-0002", "paper-0002", 0.25),)
+        finally:
+            store.close()
+
+
+class TestInlineJournalQueriesHonourConflicts:
+    """An inline journal query ignored conflicts declared for its paper id.
+
+    On ``make_problem(10, 8, num_topics=5, group_size=2, seed=3,
+    reviewer_workload=5)``, after ``conflicts.add(r, "visitor")`` for a
+    reviewer ``r`` of the inline answer, an inline ``journal_query`` of the
+    paper ``visitor`` still returned ``r``, while ``add_paper`` of the same
+    paper and ``journal_query("visitor")`` afterwards excluded ``r``.  The
+    inline sub-problem is now built through ``WGRAPProblem.to_jra``, like
+    every JRA sub-problem of a paper id.
+    """
+
+    def test_inline_answer_equals_the_added_paper_answer(self):
+        problem = make_problem(10, 8, num_topics=5, group_size=2, seed=3, reviewer_workload=5)
+        engine = AssignmentEngine(problem)
+        visitor = late_paper(problem, "visitor")
+        conflicted = engine.journal_query(visitor).best.reviewer_ids[0]
+        problem.conflicts.add(conflicted, "visitor")
+        inline = engine.journal_query(visitor, top_k=2)
+        assert all(conflicted not in group.reviewer_ids for group in inline.groups)
+        engine.add_paper(visitor)
+        assert inline.groups == engine.journal_query("visitor", top_k=2).groups
+
+
+class TestFeasibleInstancesAreNotCalledInfeasible:
+    """SDGA raised on instances that have a feasible assignment.
+
+    On the three instances below (``tests.oracles.flow`` staffs each) an
+    SDGA stage stranded a paper, and the repair pass raised too: every
+    short paper still had a candidate, but no one-reviewer-per-paper
+    refill staffed them all at once, and the refill's matching raised.
+    The repair now advances one short paper through the swap-or-chain
+    deadlock resolver and retries, raising only when no short paper can
+    be advanced.
+    """
+
+    @pytest.mark.parametrize(
+        ("num_papers", "num_reviewers", "seed"), [(4, 8, 6), (4, 10, 57), (12, 8, 17)]
+    )
+    def test_sdga_completes_and_validates(self, num_papers, num_reviewers, seed):
+        problem = make_problem(
+            num_papers, num_reviewers, num_topics=5, group_size=4, seed=seed,
+            conflict_ratio=0.15,
+        )
+        assert has_feasible_assignment(problem)
+        result = create_solver("cra", "SDGA").solve(problem)
+        problem.validate_assignment(result.assignment)
+        oracle = reference_solver("cra", "SDGA").solve(problem)
+        assert result.assignment == oracle.assignment
+        assert result.score == oracle.score

@@ -41,7 +41,6 @@ from tests.conformance import (
     late_paper,
     make_instance,
 )
-from tests.oracles.store import InMemoryProblemStore
 
 CRA_SPECS = available_solver_specs("cra")
 FAST_CRA = [spec for spec in CRA_SPECS if "exponential" not in spec.tags]
@@ -99,23 +98,6 @@ class TestStoreRoundTripSolves:
         assert sorted(problem.conflicts) == sorted(reloaded.conflicts)
 
 
-class TestCandidateGenerationParity:
-    """Indexed candidate queries == the historical in-RAM scan."""
-
-    @pytest.mark.parametrize("instance_id", sorted(GRID))
-    def test_candidates_match_memory_backend(self, instance_id, tmp_path):
-        problem = make_instance(GRID[instance_id])
-        memory = InMemoryProblemStore(problem)
-        sqlite = SqliteProblemStore.create(tmp_path / "c.db", problem)
-        try:
-            for paper_id in problem.paper_ids:
-                assert sqlite.candidate_reviewers(paper_id) == (
-                    memory.candidate_reviewers(paper_id)
-                )
-        finally:
-            sqlite.close()
-
-
 class TestMutationChains:
     """A store following a live chain == the in-RAM chain, bitwise."""
 
@@ -141,6 +123,29 @@ class TestMutationChains:
             assert reopened.stats.rebuilds == 0  # deltas, never a rebuild
         finally:
             reopened.close()
+
+    def test_conflict_edit_through_an_older_member_reaches_the_rows(self, tmp_path):
+        """The chain shares one conflict set: an edit made through any member
+        is replayed into the rows at the next sync, with no rebuild."""
+        path = tmp_path / "older.db"
+        base = make_instance(GRID["compact"])
+        store = SqliteProblemStore.create(path, base)
+        late = base.with_additional_paper(late_paper(base, "older-a"))
+        tip = late.without_reviewer(late.reviewer_ids[-1])
+        dropped = sorted(base.conflicts)[0]
+        base.conflicts.add(base.reviewer_ids[0], "older-a")
+        late.conflicts.discard(*dropped)
+        store.sync()
+        try:
+            with contextlib.closing(sqlite3.connect(path)) as conn:
+                rows = conn.execute("SELECT reviewer_id, paper_id FROM conflicts").fetchall()
+            assert sorted(rows) == sorted(tip.conflicts)
+            assert (base.reviewer_ids[0], "older-a") in rows
+            assert dropped not in rows
+            assert store.stats.rebuilds == 0
+            assert store.stats.conflict_deltas == 2
+        finally:
+            store.close()
 
     @pytest.mark.parametrize("instance_id", sorted(GRID))
     def test_close_and_reopen_mid_chain(self, instance_id, tmp_path):
@@ -309,7 +314,7 @@ class TestStoreFileWithTheDroppedTopicIndex:
         try:
             engine = AssignmentEngine.from_store(store)
             assert parity._drive(engine) == parity._drive(AssignmentEngine(parity._problem()))
-            assert store.describe()["indexes"] == ["conflicts_by_paper"]
+            assert "indexes" not in store.describe()
         finally:
             store.close()
         with contextlib.closing(sqlite3.connect(path)) as conn:
@@ -317,6 +322,35 @@ class TestStoreFileWithTheDroppedTopicIndex:
             kept = conn.execute("SELECT COUNT(*) FROM reviewer_topics").fetchone()[0]
         assert {"reviewer_topics", "topic_index", "reviewer_topics_by_reviewer"} <= names
         assert kept == len(postings)
+
+
+class TestStoreFileWithTheDroppedConflictIndex:
+    """A store file written with the old ``conflicts_by_paper`` index still serves.
+
+    The index backed a candidate query that nothing in the program reached;
+    it was dropped with ``SCHEMA_VERSION`` kept at 1, so a file written
+    before still holds it.  SQLite keeps it current under the row deltas,
+    and the reopened file answers like the in-RAM engine.
+    """
+
+    def test_reopened_old_file_matches_the_ram_engine(self, tmp_path):
+        path = tmp_path / "old.db"
+        parity = TestMemmapEngineParity()
+        SqliteProblemStore.create(path, parity._problem()).close()
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            conn.execute("CREATE INDEX conflicts_by_paper ON conflicts(paper_id, reviewer_id)")
+            conn.commit()
+
+        store = SqliteProblemStore.open(path)
+        try:
+            engine = AssignmentEngine.from_store(store)
+            assert parity._drive(engine) == parity._drive(AssignmentEngine(parity._problem()))
+        finally:
+            store.close()
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            assert conn.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+            names = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
+        assert "conflicts_by_paper" in names
 
 
 class TestPaperWorthyInstance(object):

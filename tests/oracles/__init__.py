@@ -33,8 +33,7 @@ The substrates have references too, which stay off :data:`REFERENCES`:
 assignment and the pairwise ILP's HiGHS LP) and
 :mod:`tests.oracles.simplex` (a dense simplex for the branch-and-bound
 driver's HiGHS relaxations) match on objective values, not on how ties
-are broken; :mod:`tests.oracles.store` is the in-RAM candidate scan the
-SQLite store's index is diffed against.
+are broken.
 
 BBA has a second reference off :data:`REFERENCES`:
 :class:`CursorBoundBBAOracle` overrides ``_completion_bound`` to skip the

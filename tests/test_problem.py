@@ -15,6 +15,7 @@ from repro.exceptions import (
     InfeasibleAssignmentError,
     InfeasibleProblemError,
 )
+from tests.conformance import cold_clone
 from tests.oracles import scoring as scoring_oracle
 
 
@@ -189,6 +190,46 @@ class TestDerivedProblems:
 
     def test_repr(self):
         assert "WGRAPProblem" in repr(_build_problem())
+
+
+class TestOneConflictSetAlongTheChain:
+    """The mutation chain shares one live conflict set; copies own theirs."""
+
+    def _chain(self):
+        base = _build_problem(reviewer_workload=2, conflicts=[("r1", "p1")])
+        late = base.with_additional_paper(Paper(id="p3", vector=TopicVector([0.2, 0.2, 0.6])))
+        return base, late, late.without_reviewer("r3")
+
+    def test_both_derivations_share_the_source_conflict_set(self):
+        base, late, tip = self._chain()
+        assert late.conflicts is base.conflicts
+        assert tip.conflicts is late.conflicts
+
+    def test_an_edit_through_an_older_member_reaches_the_tip_view(self):
+        base, _, tip = self._chain()
+        before = tip.dense_view()
+        version = tip.versions.conflicts
+        base.conflicts.add("r2", "p3")
+        assert tip.versions.conflicts == version + 1
+        view = tip.dense_view()
+        assert view is before  # patched in place, not recompiled
+        assert not view.feasible[tip.reviewer_index("r2"), tip.paper_index("p3")]
+        assert np.array_equal(view.feasible, cold_clone(tip).dense_view().feasible)
+
+    def test_constructor_and_copies_own_their_conflict_set(self):
+        base = _build_problem(reviewer_workload=2, conflicts=[("r1", "p1")])
+        copies = [
+            WGRAPProblem(base.papers, base.reviewers, 2, conflicts=base.conflicts),
+            base.with_scoring("dot_product"),
+            base.with_reviewers(base.reviewers),
+        ]
+        for copy in copies:
+            assert copy.conflicts is not base.conflicts
+            assert copy.conflicts == base.conflicts
+        copies[0].conflicts.add("r2", "p1")
+        base.conflicts.add("r3", "p2")
+        assert ("r2", "p1") not in base.conflicts
+        assert all(("r3", "p2") not in copy.conflicts for copy in copies)
 
 
 class TestJRAProblem:

@@ -23,6 +23,7 @@ from repro.service.engine import AssignmentEngine
 from repro.service.registry import available_solvers, create_solver, solver_spec
 from repro.service.requests import JournalQuery
 from repro.service.session import EngineSession
+from tests.conformance import cold_clone
 
 
 def _service_problem(**overrides):
@@ -380,6 +381,21 @@ class TestJournalAnswerStore:
         engine.journal_query(paper_id)
         assert len(solves) == 3
         assert engine.stats()["journal_answer_hits"] == 0
+
+    def test_a_conflict_edit_through_an_older_chain_member_reaches_the_answers(
+        self, solved_engine, solves
+    ):
+        engine = solved_engine
+        older = engine.problem
+        engine.add_paper(_late_paper(older), reviewer_workload=6)
+        paper_id = older.paper_ids[0]
+        member = engine.journal_query(paper_id).best.reviewer_ids[0]
+        older.conflicts.add(member, paper_id)
+        answer = engine.journal_query(paper_id)
+        assert len(solves) == 2
+        assert member not in answer.best.reviewer_ids
+        cold = AssignmentEngine(cold_clone(engine.problem), assignment=engine.assignment)
+        assert answer.groups == cold.journal_query(paper_id).groups
 
     def test_a_rolled_back_withdrawal_drops_every_answer(self, solves):
         # Minimal workload with no spare capacity: every withdrawal is infeasible.
