@@ -17,7 +17,12 @@ Throughput (mutations/s) and the relative overhead of each policy land
 in ``benchmarks/results/BENCH_wal.json`` and feed the repo-root
 ``BENCH.md`` trajectory.  The checkpoint cadence is part of the measured
 path: every ``checkpoint_every`` mutations the engine snapshot is
-rewritten atomically and the WAL rotated, exactly as in serving.
+rewritten atomically and the WAL rotated, exactly as in serving.  Each
+journaled policy also records its checkpoints' milliseconds (median and
+max) and bytes, then writes a close-time checkpoint outside the timed
+loop and checks that this last ``checkpoint.json``, which the journal
+assembles from per-entity texts it keeps, equals ``json.dumps`` of the
+checkpoint's dict body byte for byte.
 
 Environment knobs
 -----------------
@@ -35,14 +40,16 @@ Environment knobs
 
 from __future__ import annotations
 
+import json
 import os
+import statistics
 import tempfile
 import time
 from pathlib import Path
 
 from _shared import bench_seed, emit_bench_json
 from repro.data.synthetic import make_problem
-from repro.durability import DurabilityConfig, TenantJournal
+from repro.durability import CHECKPOINT_VERSION, DurabilityConfig, TenantJournal
 from repro.service.engine import AssignmentEngine
 from repro.service.requests import request_from_dict
 from repro.service.session import EngineSession
@@ -81,11 +88,25 @@ def _churn_requests(engine: AssignmentEngine, mutations: int):
     return requests
 
 
+def _dumped_body(journal: TenantJournal, engine: AssignmentEngine) -> str:
+    """``json.dumps`` of the checkpoint body, built the plain way."""
+    return json.dumps({
+        "format_version": CHECKPOINT_VERSION,
+        "tenant": journal.tenant_id,
+        "last_seq": journal.last_seq,
+        "applied": [[key, response.to_dict()] for key, response in journal.applied.items()],
+        "snapshot": engine.to_snapshot(),
+    })
+
+
 def _run_policy(policy: str, mutations: int, batch: int, checkpoint_every: int) -> dict:
     """Serve the churn under one policy; returns timing and counters."""
     engine = _fresh_engine()
     session = EngineSession(engine)
     requests = _churn_requests(engine, mutations)
+    checkpoint_ms: list[float] = []
+    checkpoint_bytes: list[int] = []
+    matches_dumps = None
 
     if policy == "off":
         start = time.perf_counter()
@@ -114,9 +135,17 @@ def _run_policy(policy: str, mutations: int, batch: int, checkpoint_every: int) 
                 if index % batch == 0:
                     journal.sync_batch()
                 if journal.should_checkpoint:
+                    started = time.perf_counter()
                     journal.checkpoint(engine)
+                    checkpoint_ms.append((time.perf_counter() - started) * 1e3)
+                    checkpoint_bytes.append(journal.checkpoint_path.stat().st_size)
                     checkpoints += 1
             elapsed = time.perf_counter() - start
+            # The close-time checkpoint of a draining tenant, outside the
+            # timed loop: the last checkpoint, compared with json.dumps.
+            journal.checkpoint(engine)
+            text = journal.checkpoint_path.read_text(encoding="utf-8")
+            matches_dumps = text == _dumped_body(journal, engine)
             journal.close()
 
     return {
@@ -125,6 +154,12 @@ def _run_policy(policy: str, mutations: int, batch: int, checkpoint_every: int) 
         "seconds": elapsed,
         "mutations_per_second": mutations / elapsed if elapsed > 0 else None,
         "checkpoints": checkpoints,
+        "checkpoint_ms": {
+            "median": statistics.median(checkpoint_ms) if checkpoint_ms else None,
+            "max": max(checkpoint_ms, default=None),
+        },
+        "checkpoint_bytes": checkpoint_bytes,
+        "last_checkpoint_matches_dumps": matches_dumps,
     }
 
 
@@ -164,11 +199,18 @@ def test_wal_overhead(benchmark):
         run = runs[policy]
         assert run["mutations"] == verdict["instance"]["mutations"]
         assert run["seconds"] > 0
-    # Both journaled policies actually checkpointed along the way.
-    assert runs["batch"]["checkpoints"] >= 1
-    assert runs["always"]["checkpoints"] >= 1
+    # Both journaled policies actually checkpointed along the way, and the
+    # last checkpoint each wrote is byte for byte json.dumps of its body.
+    for policy in ("batch", "always"):
+        assert runs[policy]["checkpoints"] >= 1
+        assert runs[policy]["last_checkpoint_matches_dumps"] is True
 
     per_second = {p: round(r["mutations_per_second"]) for p, r in runs.items()}
     overhead = {p: f"{r['overhead_vs_off'] * 100:+.1f}%" for p, r in runs.items()}
     print(f"\nmutations/s: {per_second}")
     print(f"overhead vs off: {overhead}")
+    checkpoint_ms = {
+        p: f"{runs[p]['checkpoint_ms']['median']:.2f}/{runs[p]['checkpoint_ms']['max']:.2f}"
+        for p in ("batch", "always")
+    }
+    print(f"checkpoint ms (median/max): {checkpoint_ms}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -26,6 +27,10 @@ from repro.fault import get_failpoints
 
 __all__ = [
     "atomic_write_text",
+    "check_version",
+    "entry_dicts",
+    "paper_to_dict",
+    "reviewer_to_dict",
     "problem_to_dict",
     "problem_from_dict",
     "save_problem",
@@ -91,7 +96,43 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 # ----------------------------------------------------------------------
 # Problems
 # ----------------------------------------------------------------------
-def problem_to_dict(problem: WGRAPProblem) -> dict[str, Any]:
+def reviewer_to_dict(reviewer: Reviewer) -> dict[str, Any]:
+    """One entry of a problem's ``reviewers`` list."""
+    return {
+        "id": reviewer.id,
+        "name": reviewer.name,
+        "h_index": reviewer.h_index,
+        "vector": reviewer.vector.to_list(),
+    }
+
+
+def paper_to_dict(paper: Paper) -> dict[str, Any]:
+    """One entry of a problem's ``papers`` list."""
+    return {
+        "id": paper.id,
+        "title": paper.title,
+        "abstract": paper.abstract,
+        "vector": paper.vector.to_list(),
+    }
+
+
+def entry_dicts(
+    section: str, to_json: Callable[[Any], Any], items: Iterable[Any]
+) -> list[Any]:
+    """The list stored under ``section``: every item through its helper.
+
+    :func:`problem_to_dict` and :func:`engine_snapshot_to_dict` build their
+    reviewer, paper and bid lists through an ``entries(section, to_json,
+    items)`` hook whose default is this function.  A journal checkpoint
+    passes one that reuses the encoded text of each unchanged item
+    (:class:`repro.durability.journal.CheckpointPieces`).
+    """
+    return [to_json(item) for item in items]
+
+
+def problem_to_dict(
+    problem: WGRAPProblem, entries: Callable[..., Any] = entry_dicts
+) -> dict[str, Any]:
     """A JSON-serialisable representation of a WGRAP problem."""
     return {
         "format_version": _FORMAT_VERSION,
@@ -99,29 +140,13 @@ def problem_to_dict(problem: WGRAPProblem) -> dict[str, Any]:
         "group_size": problem.group_size,
         "reviewer_workload": problem.reviewer_workload,
         "scoring": problem.scoring.name,
-        "reviewers": [
-            {
-                "id": reviewer.id,
-                "name": reviewer.name,
-                "h_index": reviewer.h_index,
-                "vector": reviewer.vector.to_list(),
-            }
-            for reviewer in problem.reviewers
-        ],
-        "papers": [
-            {
-                "id": paper.id,
-                "title": paper.title,
-                "abstract": paper.abstract,
-                "vector": paper.vector.to_list(),
-            }
-            for paper in problem.papers
-        ],
+        "reviewers": entries("reviewers", reviewer_to_dict, problem.reviewers),
+        "papers": entries("papers", paper_to_dict, problem.papers),
         "conflicts": [list(pair) for pair in problem.conflicts],
     }
 
 
-def _check_version(payload: Any, what: str, expected: int) -> None:
+def check_version(payload: Any, what: str, expected: int) -> None:
     """Reject non-mapping payloads and unknown (future) format versions.
 
     Raising :class:`UnsupportedFormatError` — with the offending and the
@@ -146,14 +171,17 @@ def _typed(value: Any, kind: type, name: str) -> Any:
     return value
 
 
-def problem_from_dict(payload: dict[str, Any]) -> WGRAPProblem:
+def problem_from_dict(
+    payload: dict[str, Any], validate_capacity: bool = True
+) -> WGRAPProblem:
     """Rebuild a WGRAP problem from :func:`problem_to_dict` output.
 
     ``group_size`` and ``reviewer_workload`` must be JSON integers, and
     every paper and reviewer id (conflict entries included) a string;
-    nothing is coerced.
+    nothing is coerced.  ``validate_capacity`` is passed to
+    :class:`~repro.core.problem.WGRAPProblem`.
     """
-    _check_version(payload, "problem", _FORMAT_VERSION)
+    check_version(payload, "problem", _FORMAT_VERSION)
     reviewers = [
         Reviewer(
             id=_typed(entry["id"], str, "reviewer id"),
@@ -183,6 +211,7 @@ def problem_from_dict(payload: dict[str, Any]) -> WGRAPProblem:
         reviewer_workload=_typed(payload["reviewer_workload"], int, "reviewer_workload"),
         conflicts=conflicts,
         scoring=payload.get("scoring"),
+        validate_capacity=validate_capacity,
     )
 
 
@@ -210,7 +239,7 @@ def assignment_to_dict(assignment: Assignment) -> dict[str, Any]:
 
 def assignment_from_dict(payload: dict[str, Any]) -> Assignment:
     """Rebuild an assignment from :func:`assignment_to_dict` output."""
-    _check_version(payload, "assignment", _FORMAT_VERSION)
+    check_version(payload, "assignment", _FORMAT_VERSION)
     return Assignment.from_dict(payload["assignment"])
 
 
@@ -250,24 +279,33 @@ def engine_snapshot_to_dict(
     assignment: Assignment | None = None,
     bids: tuple[tuple[str, str, float], ...] = (),
     metadata: dict[str, Any] | None = None,
+    entries: Callable[..., Any] = entry_dicts,
 ) -> dict[str, Any]:
-    """A JSON-serialisable representation of engine state."""
+    """A JSON-serialisable representation of engine state.
+
+    ``entries`` builds the reviewer, paper and bid lists (see
+    :func:`entry_dicts`); a bid is written as its ``[reviewer_id, paper_id,
+    value]`` triple.
+    """
     return {
         "format_version": _SNAPSHOT_VERSION,
-        "problem": problem_to_dict(problem),
+        "problem": problem_to_dict(problem, entries),
         "assignment": assignment_to_dict(assignment) if assignment is not None else None,
-        "bids": [list(bid) for bid in bids],
+        "bids": entries("bids", list, bids),
         "metadata": dict(metadata or {}),
     }
 
 
 def engine_snapshot_from_dict(payload: dict[str, Any]) -> EngineSnapshot:
     """Rebuild engine state from :func:`engine_snapshot_to_dict` output."""
-    _check_version(payload, "engine snapshot", _SNAPSHOT_VERSION)
+    check_version(payload, "engine snapshot", _SNAPSHOT_VERSION)
     raw_problem = payload.get("problem")
     if raw_problem is None:
         raise ConfigurationError("an engine snapshot needs a 'problem' section")
-    problem = problem_from_dict(raw_problem)
+    # Restore the engine's problem as it was written.  A chain member can be
+    # short of capacity (a late paper before the first solve), and refusing
+    # it here would make that engine's own checkpoint unrecoverable.
+    problem = problem_from_dict(raw_problem, validate_capacity=False)
     raw_assignment = payload.get("assignment")
     assignment = assignment_from_dict(raw_assignment) if raw_assignment is not None else None
     bids = tuple(

@@ -21,10 +21,19 @@ The checkpoint also persists the **applied map** — the last response per
 client idempotency key (wire ``seq``) — and replay rebuilds it from the
 WAL tail, so a mutation retried across a crash is answered from the
 stored response instead of executing twice (exactly-once application).
+
+Reviewers, papers, bids and applied responses are immutable, and most of
+them are the same objects from one checkpoint to the next, so the journal
+keeps the JSON text of each piece it wrote (:class:`CheckpointPieces`)
+and encodes afresh only what changed.  The file is assembled from those
+texts and is byte for byte what ``json.dumps`` writes for the same body.
 """
 
 from __future__ import annotations
 
+import json
+import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -33,6 +42,7 @@ from repro.data.io import (
     assignment_from_dict,
     assignment_to_dict,
     atomic_write_text,
+    check_version,
     engine_snapshot_from_dict,
 )
 from repro.durability.wal import (
@@ -41,7 +51,7 @@ from repro.durability.wal import (
     WriteAheadLog,
     read_wal,
 )
-from repro.exceptions import ConfigurationError, UnsupportedFormatError
+from repro.exceptions import ConfigurationError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.parallel.config import ParallelConfig
@@ -54,10 +64,9 @@ from repro.service.requests import (
 )
 from repro.service.session import EngineSession
 
-import json
-
 __all__ = [
     "CHECKPOINT_VERSION",
+    "CheckpointPieces",
     "DurabilityConfig",
     "RecoveryStats",
     "RecoveryOutcome",
@@ -69,6 +78,78 @@ CHECKPOINT_VERSION = 1
 CHECKPOINT_NAME = "checkpoint.json"
 
 TRACER = get_tracer()
+
+
+class _Encoded(list):
+    """The JSON texts of one list's items, in order (see :func:`_assemble`)."""
+
+
+def _holds_encoded(value: dict[str, Any]) -> bool:
+    return any(
+        type(item) is _Encoded or (type(item) is dict and _holds_encoded(item))
+        for item in value.values()
+    )
+
+
+def _assemble(value: Any) -> str:
+    """``json.dumps`` of ``value``, with each :class:`_Encoded` list in place.
+
+    An encoded list is written as its texts joined by ``json.dumps``' item
+    separator.  Only the dicts on the way to one are walked (their keys are
+    strings); every other value goes to ``json.dumps`` whole.  The result
+    is the text ``json.dumps`` writes when each list holds its decoded items.
+    """
+    if type(value) is _Encoded:
+        return "[" + ", ".join(value) + "]"
+    if type(value) is dict and _holds_encoded(value):
+        return "{" + ", ".join(
+            json.dumps(key) + ": " + _assemble(item) for key, item in value.items()
+        ) + "}"
+    return json.dumps(value)
+
+
+def _applied_entry(item: tuple[int, Response]) -> list[Any]:
+    key, response = item
+    return [key, response.to_dict()]
+
+
+class CheckpointPieces:
+    """Encodes one checkpoint's pieces, reusing the texts of the last one.
+
+    A piece is one reviewer, paper, bid or applied-map response.  An
+    entity is keyed by its id; a tuple item (a bid, an applied entry) by
+    all but its last element, the object that vouches for the text.  A
+    text is reused only while that object *is* the one it was encoded
+    from: a bid re-set from ``0.0`` to ``-0.0`` is equal, but written
+    ``-0.0``.  ``texts`` holds only what this checkpoint wrote, so once it
+    replaces ``previous`` no text outlives a withdrawn reviewer or an
+    evicted key.
+    """
+
+    def __init__(self, previous: dict[str, dict[Any, tuple[Any, str]]]) -> None:
+        self.previous = previous
+        self.texts: dict[str, dict[Any, tuple[Any, str]]] = {}
+        self.encoded = 0
+
+    def entries(
+        self, section: str, to_json: Callable[[Any], Any], items: Iterable[Any]
+    ) -> _Encoded:
+        """The ``entries`` hook of :func:`repro.data.io.engine_snapshot_to_dict`."""
+        previous = self.previous.get(section, {})
+        texts = self.texts.setdefault(section, {})
+        encoded = _Encoded()
+        for item in items:
+            if type(item) is tuple:
+                key, source = item[:-1], item[-1]
+            else:
+                key, source = item.id, item
+            piece = previous.get(key)
+            if piece is None or piece[0] is not source:
+                piece = (source, json.dumps(to_json(item)))
+                self.encoded += 1
+            texts[key] = piece
+            encoded.append(piece[1])
+        return encoded
 
 
 @dataclass(frozen=True)
@@ -152,6 +233,9 @@ class TenantJournal:
         self.applied: dict[int, Response] = {}
         self._records_since_checkpoint = 0
         self._wal: WriteAheadLog | None = None
+        # The pieces of the last checkpoint written, by section and key
+        # (see CheckpointPieces); each checkpoint replaces it.
+        self.pieces: dict[str, dict[Any, tuple[Any, str]]] = {}
         # Replication hook: called with (record, prev_seq) right after an
         # append, on the same worker thread — prev_seq is the journal's
         # last_seq *before* this record, i.e. the record's predecessor in
@@ -242,17 +326,26 @@ class TenantJournal:
 
     def checkpoint(self, engine: AssignmentEngine) -> None:
         """Atomically snapshot the engine, then rotate the WAL."""
+        started = time.perf_counter()
         with TRACER.span(
             "durability.checkpoint", tenant=self.tenant_id, last_seq=self.last_seq
         ):
-            self._write_checkpoint(engine)
+            size, encoded = self._write_checkpoint(engine)
             if self._wal is None:
                 self._wal = WriteAheadLog(self.directory, fsync=self.config.fsync)
             self._wal.rotate(self.last_seq + 1)
         self._records_since_checkpoint = 0
-        get_registry().counter(
-            "durability.checkpoints", "tenant checkpoints written"
-        ).inc()
+        registry = get_registry()
+        registry.counter("durability.checkpoints", "tenant checkpoints written").inc()
+        registry.histogram(
+            "durability.checkpoint.seconds", "checkpoint encode, write and WAL rotation"
+        ).observe(time.perf_counter() - started)
+        registry.counter(
+            "durability.checkpoint.bytes", "checkpoint bytes written"
+        ).inc(size)
+        registry.counter(
+            "durability.checkpoint.encoded", "checkpoint pieces encoded afresh"
+        ).inc(encoded)
 
     # ------------------------------------------------------------------
     # Recovery
@@ -265,9 +358,7 @@ class TenantJournal:
         shipped snapshot supersedes.  Follow with :meth:`recover` to
         build the resident engine from the installed state.
         """
-        version = payload.get("format_version")
-        if version != CHECKPOINT_VERSION:
-            raise UnsupportedFormatError("tenant checkpoint", version, CHECKPOINT_VERSION)
+        check_version(payload, "tenant checkpoint", CHECKPOINT_VERSION)
         if "store" in payload:
             # A store-backed checkpoint is a pointer to a local SQLite
             # file the standby does not have; shipping it would replicate
@@ -284,6 +375,7 @@ class TenantJournal:
         atomic_write_text(self.checkpoint_path, json.dumps(body))
         for stale in sorted(self.directory.glob("wal-*.jsonl")):
             stale.unlink(missing_ok=True)
+        self.pieces = {}
         self.last_seq = int(payload.get("last_seq", 0))
         self._records_since_checkpoint = 0
 
@@ -382,15 +474,14 @@ class TenantJournal:
         self._wal = WriteAheadLog(self.directory, fsync=self.config.fsync)
         self._wal.open_segment(self.last_seq + 1)
 
-    def _write_checkpoint(self, engine: AssignmentEngine) -> None:
+    def _write_checkpoint(self, engine: AssignmentEngine) -> tuple[int, int]:
+        """Write ``checkpoint.json``; returns its size and the pieces encoded."""
+        pieces = CheckpointPieces(self.pieces)
         body: dict[str, Any] = {
             "format_version": CHECKPOINT_VERSION,
             "tenant": self.tenant_id,
             "last_seq": self.last_seq,
-            "applied": [
-                [key, response.to_dict()]
-                for key, response in self.applied.items()
-            ],
+            "applied": pieces.entries("applied", _applied_entry, self.applied.items()),
         }
         store = engine.store
         if store is not None and store.path is not None:
@@ -414,33 +505,38 @@ class TenantJournal:
                 },
             }
         else:
-            body["snapshot"] = engine.to_snapshot()
-        atomic_write_text(self.checkpoint_path, json.dumps(body))
+            body["snapshot"] = engine.to_snapshot(pieces.entries)
+        text = _assemble(body)
+        atomic_write_text(self.checkpoint_path, text)
+        self.pieces = pieces.texts
+        # json.dumps escapes every non-ASCII character: one byte per char.
+        return len(text), pieces.encoded
 
     def _load_checkpoint(self) -> dict[str, Any]:
-        if not self.has_checkpoint():
+        payload = read_checkpoint(self.directory)
+        if payload is None:
             raise ConfigurationError(
                 f"no checkpoint for tenant {self.tenant_id!r} under "
                 f"{self.directory}; nothing to recover"
             )
-        payload = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
-        version = payload.get("format_version")
-        if version != CHECKPOINT_VERSION:
-            raise UnsupportedFormatError("tenant checkpoint", version, CHECKPOINT_VERSION)
         return payload
 
 
 def read_checkpoint(directory: Path) -> dict[str, Any] | None:
     """Read a tenant directory's checkpoint, or ``None`` if there is none.
 
-    Read-only helper for the replication sender and ``wgrap wal``
-    inspection; validates the format version but touches no state.
+    The one checkpoint reader: recovery, the replication sender and
+    ``wgrap wal`` inspection all use it.  Touches no state.  Bytes that do
+    not decode raise :class:`ConfigurationError` naming the file; a payload
+    that is not an object, or of another format version, raises
+    :class:`~repro.exceptions.UnsupportedFormatError`.
     """
     path = Path(directory) / CHECKPOINT_NAME
     if not path.exists():
         return None
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise UnsupportedFormatError("tenant checkpoint", version, CHECKPOINT_VERSION)
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ConfigurationError(f"checkpoint {path} does not decode: {exc}") from None
+    check_version(payload, "tenant checkpoint", CHECKPOINT_VERSION)
     return payload

@@ -149,9 +149,15 @@ class BidMatrix:
         return pair in self._bids
 
     def pairs(self) -> Iterable[tuple[str, str, float]]:
-        """Iterate over declared ``(reviewer_id, paper_id, value)`` bids."""
-        for (reviewer_id, paper_id), value in sorted(self._bids.items()):
-            yield reviewer_id, paper_id, value
+        """Iterate over declared ``(reviewer_id, paper_id, value)`` bids.
+
+        Sorted by key.  Keys are unique, so sorting them alone gives the
+        order of sorting the items, without comparing the tuples' values.
+        """
+        bids = self._bids
+        for key in sorted(bids):
+            reviewer_id, paper_id = key
+            yield reviewer_id, paper_id, bids[key]
 
     def dense(self, problem: WGRAPProblem) -> np.ndarray:
         """The bids as a dense ``(P, R)`` matrix aligned with the problem."""

@@ -94,6 +94,9 @@ METRIC_NAMES: dict[str, str] = {
     "durability.wal.bytes": "WAL bytes appended",
     "durability.wal.fsyncs": "fsync calls issued by the WAL",
     "durability.checkpoints": "tenant checkpoints written",
+    "durability.checkpoint.seconds": "histogram: TenantJournal.checkpoint wall time (encode, write, WAL rotation)",
+    "durability.checkpoint.bytes": "checkpoint.json bytes written by TenantJournal.checkpoint",
+    "durability.checkpoint.encoded": "checkpoint pieces encoded afresh (reviewers, papers, bids, applied responses)",
     "durability.recoveries": "journal recoveries run",
     "durability.replayed_records": "WAL records replayed during recovery",
     "durability.dropped_bytes": "torn WAL suffix bytes dropped at recovery",

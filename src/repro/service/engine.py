@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import time
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -50,6 +51,7 @@ from repro.cra.repair import complete_assignment
 from repro.data.io import (
     EngineSnapshot,
     engine_snapshot_to_dict,
+    entry_dicts,
     load_engine_snapshot,
     save_engine_snapshot,
 )
@@ -1111,8 +1113,12 @@ class AssignmentEngine:
             "metrics": self.metrics_snapshot(),
         }
 
-    def to_snapshot(self) -> dict[str, Any]:
-        """JSON-serialisable snapshot of the resumable engine state."""
+    def to_snapshot(self, entries: Callable[..., Any] = entry_dicts) -> dict[str, Any]:
+        """JSON-serialisable snapshot of the resumable engine state.
+
+        ``entries`` builds the entity and bid lists
+        (:func:`repro.data.io.entry_dicts`).
+        """
         return engine_snapshot_to_dict(
             problem=self._problem,
             assignment=self._assignment,
@@ -1122,6 +1128,7 @@ class AssignmentEngine:
                 "last_solver": self._last_solver,
                 "last_score": self._last_score,
             },
+            entries=entries,
         )
 
     def save_snapshot(self, path: Any) -> Any:

@@ -6,7 +6,10 @@ evaluation on the current database.  Hypothesis drives one engine through
 a random interleaving of late papers, withdrawals (infeasible ones roll
 back), conflict edits on the live container (single ones, and several in
 one step before a late paper), bid updates, solves, journal queries and
-evaluations on a tiny instance (R <= 8, delta_p <= 3).
+evaluations on a tiny instance (R <= 8, delta_p <= 3).  A checkpoint rule
+writes the engine through a journal the machine keeps across steps,
+checks the file byte for byte against ``json.dumps`` of its body, and
+carries on with the engine rebuilt from the file (snapshot -> restore).
 
 Every journal and evaluate answer must equal the answer of a cold engine
 over the same state, bitwise, errors included.  The cold engine is built
@@ -26,6 +29,9 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
+import tempfile
+from pathlib import Path
 from typing import Any, Callable
 
 from hypothesis import HealthCheck, assume, settings
@@ -34,7 +40,14 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.core.problem import WGRAPProblem
 from repro.core.scoring import available_scoring_functions
+from repro.data.io import engine_snapshot_from_dict
 from repro.data.synthetic import make_problem
+from repro.durability import (
+    CHECKPOINT_VERSION,
+    DurabilityConfig,
+    TenantJournal,
+    read_checkpoint,
+)
 from repro.exceptions import InfeasibleProblemError, ReproError
 from repro.extensions.bidding import BidMatrix
 from repro.metrics.quality import optimality_ratio
@@ -98,6 +111,12 @@ class EngineMachine(RuleBasedStateMachine):
         self.asked: list[dict] = []
         self.evaluated: list[dict] = []
         self.late = 0
+        self.root = Path(tempfile.mkdtemp(prefix="engine-machine-"))
+        self.journal = TenantJournal(DurabilityConfig(root=self.root), "machine")
+
+    def teardown(self) -> None:
+        self.journal.close()
+        shutil.rmtree(self.root, ignore_errors=True)
 
     @property
     def problem(self) -> WGRAPProblem:
@@ -145,6 +164,7 @@ class EngineMachine(RuleBasedStateMachine):
         except InfeasibleProblemError:  # conflicts can leave a paper short
             assume(False)
         self.engine = AssignmentEngine(problem)
+        self.journal.initialise(self.engine)
 
     @rule(solver=st.sampled_from(["Greedy", "SDGA"]))
     def solve(self, solver: str) -> None:
@@ -205,13 +225,29 @@ class EngineMachine(RuleBasedStateMachine):
                 st.tuples(
                     st.sampled_from(self.problem.reviewer_ids),
                     st.sampled_from(self.problem.paper_ids),
-                    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
                 ),
                 min_size=1,
                 max_size=3,
             )
         )
         self.engine.update_bids(bids)
+
+    @rule()
+    def checkpoint(self) -> None:
+        """Checkpoint through the kept journal, then go on from the file."""
+        self.journal.checkpoint(self.engine)
+        expected = {
+            "format_version": CHECKPOINT_VERSION,
+            "tenant": self.journal.tenant_id,
+            "last_seq": self.journal.last_seq,
+            "applied": [],
+            "snapshot": self.engine.to_snapshot(),
+        }
+        text = self.journal.checkpoint_path.read_text(encoding="utf-8")
+        assert text == json.dumps(expected)
+        snapshot = read_checkpoint(self.journal.directory)["snapshot"]
+        self.engine = AssignmentEngine.from_snapshot(engine_snapshot_from_dict(snapshot))
 
     # -- queries ------------------------------------------------------------
     @rule(data=st.data())

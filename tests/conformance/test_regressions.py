@@ -19,9 +19,16 @@ from repro.core.scoring import available_scoring_functions
 from repro.core.vectors import TopicVector
 from repro.data.io import load_problem, problem_from_dict, problem_to_dict
 from repro.data.synthetic import make_problem
-from repro.exceptions import ConfigurationError, InfeasibleProblemError, RequestError
+from repro.durability import DurabilityConfig, TenantJournal, read_checkpoint
+from repro.exceptions import (
+    ConfigurationError,
+    InfeasibleProblemError,
+    RequestError,
+    UnsupportedFormatError,
+)
 from repro.metrics.analysis import coverage_histogram, paper_topic_coverage
 from repro.metrics.quality import optimality_ratio
+from repro.net.server import AssignmentServer
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import create_solver
 from repro.service.requests import request_from_dict
@@ -1000,3 +1007,98 @@ class TestFeasibleInstancesAreNotCalledInfeasible:
         oracle = reference_solver("cra", "SDGA").solve(problem)
         assert result.assignment == oracle.assignment
         assert result.score == oracle.score
+
+
+class TestCheckpointReadsFailWithStructuredErrors:
+    """A damaged ``checkpoint.json`` crashed its readers with raw errors.
+
+    ``wgrap wal`` died with ``AttributeError: 'list' object has no
+    attribute 'get'`` on a checkpoint holding ``[1, 2]``.  On a truncated
+    one, both ``wgrap wal`` and ``serve --tcp --wal-dir`` died with a raw
+    ``JSONDecodeError``.  Recovery had its own copy of the reader.  Every
+    reader now goes through ``read_checkpoint``.  A payload that is not an
+    object raises ``UnsupportedFormatError``, like ``repro.data.io``'s
+    version check.  Bytes that do not decode raise ``ConfigurationError``
+    naming the file.
+    """
+
+    @staticmethod
+    def damaged(tmp_path, mangle) -> tuple[DurabilityConfig, object]:
+        config = DurabilityConfig(root=tmp_path / "wal")
+        journal = TenantJournal(config, "conf")
+        journal.initialise(AssignmentEngine(make_problem(6, 5, num_topics=4, group_size=2, seed=2)))
+        journal.close()
+        path = journal.checkpoint_path
+        path.write_bytes(mangle(path.read_bytes()))
+        return config, path
+
+    @staticmethod
+    def readers(config: DurabilityConfig):
+        root = str(config.root)
+        return {
+            "read_checkpoint": lambda: read_checkpoint(config.root / "conf"),
+            "recover": lambda: TenantJournal(config, "conf").recover(),
+            "wgrap wal": lambda: main(["wal", root, "--json"]),
+            "serve --wal-dir": lambda: AssignmentServer(durability=config).recover_tenants(),
+        }
+
+    @pytest.mark.parametrize("payload", [b"[1, 2]", b'"checkpoint"', b"7", b"null"])
+    def test_a_payload_that_is_not_an_object(self, payload, tmp_path):
+        config, _ = self.damaged(tmp_path, lambda _: payload)
+        for name, read in self.readers(config).items():
+            with pytest.raises(UnsupportedFormatError) as caught:
+                read()
+            assert caught.value.found == type(json.loads(payload)).__name__, name
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [lambda data: data[: len(data) // 2], lambda data: b"", lambda data: b"\xff" + data],
+        ids=["truncated", "empty", "not-utf8"],
+    )
+    def test_bytes_that_do_not_decode(self, mangle, tmp_path):
+        config, path = self.damaged(tmp_path, mangle)
+        for name, read in self.readers(config).items():
+            with pytest.raises(ConfigurationError, match="does not decode") as caught:
+                read()
+            assert str(path) in str(caught.value), name
+            assert not isinstance(caught.value, UnsupportedFormatError), name
+
+
+class TestACheckpointShortOfCapacityRecovers:
+    """Recovery refused a checkpoint that its own engine had written.
+
+    Before the first solve, ``add_paper`` and ``withdraw_reviewer`` staff
+    nothing, so they succeed even when the reviewers can no longer absorb
+    every paper: a derived problem skips the constructor's capacity check,
+    as ``cold_clone`` does.  The checkpoint's snapshot then held a problem
+    that ``problem_from_dict`` refused with ``InfeasibleProblemError``.
+    ``recover``, and so ``serve --tcp --wal-dir`` at start-up, failed for a
+    tenant that had answered every request.  The engine state machine's
+    checkpoint rule found it.  An engine snapshot now restores its problem
+    as it was written; a problem file is still checked.
+    """
+
+    @staticmethod
+    def short_engine(mutation: str) -> AssignmentEngine:
+        problem = make_problem(4, 4, num_topics=3, group_size=1, reviewer_workload=1, seed=0)
+        engine = AssignmentEngine(problem)
+        if mutation == "add_paper":
+            engine.add_paper(late_paper(problem, "late"))
+        else:
+            engine.withdraw_reviewer(problem.reviewer_ids[0])
+        return engine
+
+    @pytest.mark.parametrize("mutation", ["add_paper", "withdraw_reviewer"])
+    def test_recovery_rebuilds_the_engine_it_checkpointed(self, mutation, tmp_path):
+        engine = self.short_engine(mutation)
+        config = DurabilityConfig(root=tmp_path)
+        journal = TenantJournal(config, "conf")
+        journal.initialise(engine)
+        journal.close()
+        recovered = TenantJournal(config, "conf").recover().engine
+        assert json.dumps(recovered.to_snapshot()) == json.dumps(engine.to_snapshot())
+
+    def test_a_problem_file_is_still_checked(self):
+        payload = problem_to_dict(self.short_engine("add_paper").problem)
+        with pytest.raises(InfeasibleProblemError, match="insufficient review capacity"):
+            problem_from_dict(payload)

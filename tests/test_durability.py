@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.data.io import atomic_write_text
 from repro.durability import (
+    CHECKPOINT_VERSION,
     DurabilityConfig,
     FSYNC_POLICIES,
     TenantJournal,
@@ -38,6 +39,7 @@ from repro.data.synthetic import make_problem
 from repro.service.engine import AssignmentEngine
 from repro.core.entities import Paper
 from repro.core.vectors import TopicVector
+from tests.conformance import late_paper
 from repro.service.requests import (
     MUTATION_KINDS,
     AddPaper,
@@ -337,6 +339,195 @@ class TestTenantJournal:
             TenantJournal(config, "conf").initialise(engine)
         with pytest.raises(ConfigurationError):
             TenantJournal(config, "virgin").recover()
+
+
+class TestAssembledCheckpoint:
+    """``checkpoint.json`` is assembled from the texts the journal keeps.
+
+    Each reviewer, paper, bid and applied response is encoded once, and its
+    text is reused while the object is the same one.  After every
+    checkpoint the file must equal ``json.dumps`` of the dict body, recover
+    to the live snapshot, and leave the journal holding texts for exactly
+    the current reviewers, papers, bids and applied keys.
+    """
+
+    @staticmethod
+    def expected(journal: TenantJournal, engine: AssignmentEngine) -> str:
+        return json.dumps({
+            "format_version": CHECKPOINT_VERSION,
+            "tenant": journal.tenant_id,
+            "last_seq": journal.last_seq,
+            "applied": [
+                [key, response.to_dict()] for key, response in journal.applied.items()
+            ],
+            "snapshot": engine.to_snapshot(),
+        })
+
+    def check(self, journal: TenantJournal, engine: AssignmentEngine, probe) -> str:
+        text = journal.checkpoint_path.read_text(encoding="utf-8")
+        assert text == self.expected(journal, engine)
+
+        # Recover a copy: recovery writes a checkpoint of its own.
+        copy = probe / str(len(list(probe.iterdir())) if probe.exists() else 0)
+        (copy / journal.tenant_id).mkdir(parents=True)
+        (copy / journal.tenant_id / "checkpoint.json").write_text(text, encoding="utf-8")
+        recovered_journal = TenantJournal(DurabilityConfig(root=copy), journal.tenant_id)
+        recovered = recovered_journal.recover().engine
+        assert json.dumps(recovered.to_snapshot()) == json.dumps(engine.to_snapshot())
+        assert [
+            [key, response.to_dict()] for key, response in recovered_journal.applied.items()
+        ] == [[key, response.to_dict()] for key, response in journal.applied.items()]
+        recovered_journal.close()
+
+        pieces = journal.pieces
+        problem = engine.problem
+        for section, entities in (("reviewers", problem.reviewers), ("papers", problem.papers)):
+            assert list(pieces[section]) == [entity.id for entity in entities]
+            assert all(pieces[section][entity.id][0] is entity for entity in entities)
+        bids = list(engine.bids.pairs())
+        assert list(pieces["bids"]) == [(r, p) for r, p, _ in bids]
+        assert all(pieces["bids"][(r, p)][0] is value for r, p, value in bids)
+        assert list(pieces["applied"]) == [(key,) for key in journal.applied]
+        assert all(
+            pieces["applied"][(key,)][0] is response
+            for key, response in journal.applied.items()
+        )
+        return text
+
+    def test_every_checkpoint_is_the_dumped_body(self, tmp_path):
+        config = DurabilityConfig(root=tmp_path / "wal", applied_limit=3)
+        probe = tmp_path / "probe"
+        journal = TenantJournal(config, "conf")
+        engine = small_engine()
+        session = EngineSession(engine)
+        journal.initialise(engine)
+        self.check(journal, engine, probe)
+        seqs = iter(range(1, 1000))
+
+        def serve(payload: dict) -> None:
+            """The tenant worker's order: append, dispatch, record."""
+            request = request_from_dict(payload)
+            journal.append(next(seqs), request)
+            response = session.dispatch(request)
+            assert response.ok, response.error
+            if request.client_seq is not None:
+                journal.record_applied(request.client_seq, response)
+
+        def checkpoint() -> str:
+            journal.sync_batch()
+            journal.checkpoint(engine)
+            return self.check(journal, engine, probe)
+
+        def add_paper(tag: str) -> None:
+            paper = late_paper(engine.problem, tag)
+            serve({"kind": "add_paper", "paper": {"id": paper.id, "vector": paper.vector.to_list()}})
+
+        r = engine.problem.reviewer_ids
+        p = engine.problem.paper_ids
+        serve({"kind": "solve", "solver": "Greedy", "seq": 1})
+        serve({"kind": "update_bids", "bids": [[r[0], p[0], 0.0], [r[1], p[1], 0.5]], "seq": 2})
+        add_paper("late-1")
+        assert json.dumps([r[0], p[0], 0.0]) in checkpoint()
+
+        # Conflict edits through an older chain member reach the live problem.
+        older = engine.problem
+        add_paper("late-2")
+        free = next(rid for rid in r if rid not in engine.assignment.reviewers_of(p[3]))
+        older.conflicts.add(free, p[3])
+        assert json.dumps([free, p[3]]) in checkpoint()
+        older.conflicts.discard(free, p[3])
+        assert json.dumps([free, p[3]]) not in checkpoint()
+
+        serve({"kind": "withdraw_reviewer", "reviewer_id": r[-1], "seq": 3})
+        checkpoint()
+        assert r[-1] not in journal.pieces["reviewers"]
+
+        # An equal bid is a new object, and -0.0 is written as such.
+        serve({"kind": "update_bids", "bids": [[r[0], p[0], -0.0]], "seq": 4})
+        assert json.dumps([r[0], p[0], -0.0]) in checkpoint()
+        serve({"kind": "update_bids", "bids": [[r[1], p[1], 0.5]]})
+        checkpoint()
+
+        # A solve, then client seqs past applied_limit evict the oldest keys.
+        serve({"kind": "solve", "solver": "SDGA", "seq": 5})
+        serve({"kind": "update_bids", "bids": [[r[2], p[2], 1.0]], "seq": 6})
+        serve({"kind": "update_bids", "bids": [[r[3], p[3], 0.25]], "seq": 7})
+        checkpoint()
+        assert sorted(journal.applied) == [5, 6, 7]
+
+        # A crash and recovery in place bring all-new, equal objects.
+        add_paper("late-3")
+        serve({"kind": "update_bids", "bids": [[r[4], p[4], 0.75]], "seq": 8})
+        journal.sync_batch()
+        journal.abort()
+        encoded = get_registry().counter("durability.checkpoint.encoded")
+        before = encoded.value
+        engine = journal.recover().engine
+        session = EngineSession(engine)
+        problem = engine.problem
+        assert encoded.value - before == (
+            problem.num_reviewers + problem.num_papers + len(engine.bids) + len(journal.applied)
+        )
+        self.check(journal, engine, probe)
+        add_paper("late-4")
+        serve({"kind": "update_bids", "bids": [[r[0], p[0], 0.0]], "seq": 9})
+        checkpoint()
+        journal.close()
+
+    def test_a_store_backed_checkpoint_is_the_dumped_body(self, tmp_path):
+        from repro.store import SqliteProblemStore
+
+        store = SqliteProblemStore.create(tmp_path / "conf.db", small_engine().problem)
+        engine = AssignmentEngine.from_store(store)
+        session = EngineSession(engine)
+        config = DurabilityConfig(root=tmp_path / "wal")
+        journal = TenantJournal(config, "conf")
+        journal.initialise(engine)
+        r, p = engine.problem.reviewer_ids, engine.problem.paper_ids
+        payloads = [
+            {"kind": "solve", "solver": "Greedy", "seq": 1},
+            {"kind": "update_bids", "bids": [[r[0], p[0], 0.5]], "seq": 2},
+        ]
+        for seq, payload in enumerate(payloads, start=1):
+            request = request_from_dict(payload)
+            journal.append(seq, request)
+            response = session.dispatch(request)
+            journal.record_applied(request.client_seq, response)
+            journal.sync_batch()
+            journal.checkpoint(engine)
+            text = journal.checkpoint_path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text))
+            assert list(journal.pieces["applied"]) == [(key,) for key in journal.applied]
+        journal.close()
+
+        recovered = TenantJournal(config, "conf").recover().engine
+        assert json.dumps(recovered.to_snapshot()) == json.dumps(engine.to_snapshot())
+        recovered.store.close()
+        store.close()
+
+    def test_the_metrics_follow_the_change(self, tmp_path):
+        registry = get_registry()
+        encoded = registry.counter("durability.checkpoint.encoded")
+        written = registry.counter("durability.checkpoint.bytes")
+        seconds = registry.histogram("durability.checkpoint.seconds")
+        journal = TenantJournal(DurabilityConfig(root=tmp_path), "conf")
+        engine = small_engine()
+        journal.initialise(engine)
+
+        def checkpoint() -> tuple[int, int, int]:
+            before = (encoded.value, written.value, seconds.count)
+            journal.checkpoint(engine)
+            after = (encoded.value, written.value, seconds.count)
+            return tuple(b - a for a, b in zip(before, after))
+
+        assert checkpoint()[0] == 0
+        assert checkpoint()[0] == 0
+        engine.add_paper(late_paper(engine.problem, "late"))
+        fresh, size, observed = checkpoint()
+        assert fresh == 1
+        assert size == journal.checkpoint_path.stat().st_size
+        assert observed == 1
+        journal.close()
 
 
 class TestAtomicWrites:
