@@ -121,10 +121,10 @@ def entry_dicts(
 ) -> list[Any]:
     """The list stored under ``section``: every item through its helper.
 
-    :func:`problem_to_dict` and :func:`engine_snapshot_to_dict` build their
-    reviewer, paper and bid lists through an ``entries(section, to_json,
-    items)`` hook whose default is this function.  A journal checkpoint
-    passes one that reuses the encoded text of each unchanged item
+    :func:`problem_to_dict` builds its reviewer and paper lists through an
+    ``entries(section, to_json, items)`` hook whose default is this
+    function.  A journal checkpoint passes one that reuses the encoded text
+    of each unchanged entity
     (:class:`repro.durability.journal.CheckpointPieces`).
     """
     return [to_json(item) for item in items]
@@ -283,15 +283,14 @@ def engine_snapshot_to_dict(
 ) -> dict[str, Any]:
     """A JSON-serialisable representation of engine state.
 
-    ``entries`` builds the reviewer, paper and bid lists (see
-    :func:`entry_dicts`); a bid is written as its ``[reviewer_id, paper_id,
-    value]`` triple.
+    ``entries`` builds the reviewer and paper lists (see
+    :func:`entry_dicts`).
     """
     return {
         "format_version": _SNAPSHOT_VERSION,
         "problem": problem_to_dict(problem, entries),
         "assignment": assignment_to_dict(assignment) if assignment is not None else None,
-        "bids": entries("bids", list, bids),
+        "bids": [list(bid) for bid in bids],
         "metadata": dict(metadata or {}),
     }
 

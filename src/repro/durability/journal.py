@@ -22,11 +22,11 @@ client idempotency key (wire ``seq``) — and replay rebuilds it from the
 WAL tail, so a mutation retried across a crash is answered from the
 stored response instead of executing twice (exactly-once application).
 
-Reviewers, papers, bids and applied responses are immutable, and most of
-them are the same objects from one checkpoint to the next, so the journal
-keeps the JSON text of each piece it wrote (:class:`CheckpointPieces`)
-and encodes afresh only what changed.  The file is assembled from those
-texts and is byte for byte what ``json.dumps`` writes for the same body.
+Reviewers and papers are immutable, and most of them are the same
+objects from one checkpoint to the next, so the journal keeps the JSON
+text of each one it wrote (:class:`CheckpointPieces`) and encodes afresh
+only the new ones.  The file is assembled from those texts and is byte
+for byte what ``json.dumps`` writes for the same body.
 """
 
 from __future__ import annotations
@@ -108,46 +108,33 @@ def _assemble(value: Any) -> str:
     return json.dumps(value)
 
 
-def _applied_entry(item: tuple[int, Response]) -> list[Any]:
-    key, response = item
-    return [key, response.to_dict()]
-
-
 class CheckpointPieces:
-    """Encodes one checkpoint's pieces, reusing the texts of the last one.
+    """Encodes one checkpoint's entities, reusing the texts of the last one.
 
-    A piece is one reviewer, paper, bid or applied-map response.  An
-    entity is keyed by its id; a tuple item (a bid, an applied entry) by
-    all but its last element, the object that vouches for the text.  A
-    text is reused only while that object *is* the one it was encoded
-    from: a bid re-set from ``0.0`` to ``-0.0`` is equal, but written
-    ``-0.0``.  ``texts`` holds only what this checkpoint wrote, so once it
-    replaces ``previous`` no text outlives a withdrawn reviewer or an
-    evicted key.
+    A piece is one reviewer or paper, keyed by its id.  Its text is reused
+    only while the entity *is* the one it was encoded from, never when the
+    two are merely equal.  ``texts`` holds only what this checkpoint wrote,
+    so once it replaces ``previous`` no text outlives a withdrawn reviewer.
     """
 
-    def __init__(self, previous: dict[str, dict[Any, tuple[Any, str]]]) -> None:
+    def __init__(self, previous: dict[str, dict[str, tuple[Any, str]]]) -> None:
         self.previous = previous
-        self.texts: dict[str, dict[Any, tuple[Any, str]]] = {}
+        self.texts: dict[str, dict[str, tuple[Any, str]]] = {}
         self.encoded = 0
 
     def entries(
         self, section: str, to_json: Callable[[Any], Any], items: Iterable[Any]
     ) -> _Encoded:
-        """The ``entries`` hook of :func:`repro.data.io.engine_snapshot_to_dict`."""
+        """The ``entries`` hook of :func:`repro.data.io.problem_to_dict`."""
         previous = self.previous.get(section, {})
         texts = self.texts.setdefault(section, {})
         encoded = _Encoded()
         for item in items:
-            if type(item) is tuple:
-                key, source = item[:-1], item[-1]
-            else:
-                key, source = item.id, item
-            piece = previous.get(key)
-            if piece is None or piece[0] is not source:
-                piece = (source, json.dumps(to_json(item)))
+            piece = previous.get(item.id)
+            if piece is None or piece[0] is not item:
+                piece = (item, json.dumps(to_json(item)))
                 self.encoded += 1
-            texts[key] = piece
+            texts[item.id] = piece
             encoded.append(piece[1])
         return encoded
 
@@ -233,9 +220,9 @@ class TenantJournal:
         self.applied: dict[int, Response] = {}
         self._records_since_checkpoint = 0
         self._wal: WriteAheadLog | None = None
-        # The pieces of the last checkpoint written, by section and key
-        # (see CheckpointPieces); each checkpoint replaces it.
-        self.pieces: dict[str, dict[Any, tuple[Any, str]]] = {}
+        # The entity texts of the last checkpoint written, by section and
+        # id (see CheckpointPieces); each checkpoint replaces them.
+        self.pieces: dict[str, dict[str, tuple[Any, str]]] = {}
         # Replication hook: called with (record, prev_seq) right after an
         # append, on the same worker thread — prev_seq is the journal's
         # last_seq *before* this record, i.e. the record's predecessor in
@@ -481,7 +468,10 @@ class TenantJournal:
             "format_version": CHECKPOINT_VERSION,
             "tenant": self.tenant_id,
             "last_seq": self.last_seq,
-            "applied": pieces.entries("applied", _applied_entry, self.applied.items()),
+            "applied": [
+                [key, response.to_dict()]
+                for key, response in self.applied.items()
+            ],
         }
         store = engine.store
         if store is not None and store.path is not None:

@@ -96,7 +96,7 @@ METRIC_NAMES: dict[str, str] = {
     "durability.checkpoints": "tenant checkpoints written",
     "durability.checkpoint.seconds": "histogram: TenantJournal.checkpoint wall time (encode, write, WAL rotation)",
     "durability.checkpoint.bytes": "checkpoint.json bytes written by TenantJournal.checkpoint",
-    "durability.checkpoint.encoded": "checkpoint pieces encoded afresh (reviewers, papers, bids, applied responses)",
+    "durability.checkpoint.encoded": "checkpoint pieces (reviewers, papers) encoded afresh, not reused from the last checkpoint",
     "durability.recoveries": "journal recoveries run",
     "durability.replayed_records": "WAL records replayed during recovery",
     "durability.dropped_bytes": "torn WAL suffix bytes dropped at recovery",

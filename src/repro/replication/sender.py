@@ -33,6 +33,7 @@ from typing import Any
 
 from repro.durability.journal import read_checkpoint
 from repro.durability.wal import WalRecord, read_wal
+from repro.exceptions import ConfigurationError
 from repro.fault import FaultInjected, get_failpoints
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -152,6 +153,9 @@ class ReplicationSender:
                 json.JSONDecodeError,
                 UnicodeDecodeError,
                 FaultInjected,
+                # A damaged checkpoint (read_checkpoint): retry until the
+                # tenant's next atomic checkpoint replaces it.
+                ConfigurationError,
             ):
                 pass  # reconnect with a fresh handshake
             finally:

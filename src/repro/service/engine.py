@@ -1116,7 +1116,7 @@ class AssignmentEngine:
     def to_snapshot(self, entries: Callable[..., Any] = entry_dicts) -> dict[str, Any]:
         """JSON-serialisable snapshot of the resumable engine state.
 
-        ``entries`` builds the entity and bid lists
+        ``entries`` builds the reviewer and paper lists
         (:func:`repro.data.io.entry_dicts`).
         """
         return engine_snapshot_to_dict(

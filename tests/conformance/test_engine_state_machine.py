@@ -8,8 +8,9 @@ back), conflict edits on the live container (single ones, and several in
 one step before a late paper), bid updates, solves, journal queries and
 evaluations on a tiny instance (R <= 8, delta_p <= 3).  A checkpoint rule
 writes the engine through a journal the machine keeps across steps,
-checks the file byte for byte against ``json.dumps`` of its body, and
-carries on with the engine rebuilt from the file (snapshot -> restore).
+checks the file byte for byte against ``json.dumps`` of its body and the
+engine rebuilt from the file against the live snapshot, then carries on
+with the live engine or, as drawn, the rebuilt one (snapshot -> restore).
 
 Every journal and evaluate answer must equal the answer of a cold engine
 over the same state, bitwise, errors included.  The cold engine is built
@@ -233,21 +234,31 @@ class EngineMachine(RuleBasedStateMachine):
         )
         self.engine.update_bids(bids)
 
-    @rule()
-    def checkpoint(self) -> None:
-        """Checkpoint through the kept journal, then go on from the file."""
+    @rule(rebuild=st.booleans())
+    def checkpoint(self, rebuild: bool) -> None:
+        """Checkpoint through the kept journal; restore the file beside it.
+
+        Going on with the live engine keeps its warm caches and makes the
+        next checkpoint reuse the kept texts; ``rebuild`` goes on with the
+        engine restored from the file instead.
+        """
         self.journal.checkpoint(self.engine)
+        snapshot = self.engine.to_snapshot()
         expected = {
             "format_version": CHECKPOINT_VERSION,
             "tenant": self.journal.tenant_id,
             "last_seq": self.journal.last_seq,
             "applied": [],
-            "snapshot": self.engine.to_snapshot(),
+            "snapshot": snapshot,
         }
         text = self.journal.checkpoint_path.read_text(encoding="utf-8")
         assert text == json.dumps(expected)
-        snapshot = read_checkpoint(self.journal.directory)["snapshot"]
-        self.engine = AssignmentEngine.from_snapshot(engine_snapshot_from_dict(snapshot))
+        written = read_checkpoint(self.journal.directory)["snapshot"]
+        restored = AssignmentEngine.from_snapshot(engine_snapshot_from_dict(written))
+        # json.dumps, not ==: a -0.0 bid equals 0.0 but must come back as -0.0.
+        assert json.dumps(restored.to_snapshot()) == json.dumps(snapshot)
+        if rebuild:
+            self.engine = restored
 
     # -- queries ------------------------------------------------------------
     @rule(data=st.data())

@@ -29,6 +29,7 @@ from repro.exceptions import (
 from repro.metrics.analysis import coverage_histogram, paper_topic_coverage
 from repro.metrics.quality import optimality_ratio
 from repro.net.server import AssignmentServer
+from repro.obs.metrics import get_registry
 from repro.service.engine import AssignmentEngine
 from repro.service.registry import create_solver
 from repro.service.requests import request_from_dict
@@ -37,7 +38,7 @@ from repro.store import SqliteProblemStore
 from tests.conformance import GRID, apply_chain, cold_clone, late_paper, make_instance
 from tests.oracles import LazyHeapGreedy, reference_solver
 from tests.oracles.flow import has_feasible_assignment
-from tests.net_utils import ServerHarness
+from tests.net_utils import ServerHarness, wait_until
 
 
 class TestGreedyHeapTieDrift:
@@ -1019,7 +1020,11 @@ class TestCheckpointReadsFailWithStructuredErrors:
     reader now goes through ``read_checkpoint``.  A payload that is not an
     object raises ``UnsupportedFormatError``, like ``repro.data.io``'s
     version check.  Bytes that do not decode raise ``ConfigurationError``
-    naming the file.
+    naming the file.  The replication sender's catch-up reads the file
+    too: its loop caught only connection and frame errors, so those
+    errors ended the sender task for every tenant.  It now reconnects and
+    retries, and ships again once the tenant's next checkpoint replaces
+    the damaged file.
     """
 
     @staticmethod
@@ -1062,6 +1067,51 @@ class TestCheckpointReadsFailWithStructuredErrors:
                 read()
             assert str(path) in str(caught.value), name
             assert not isinstance(caught.value, UnsupportedFormatError), name
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [lambda data: b"[1, 2]", lambda data: data[: len(data) // 2]],
+        ids=["not-an-object", "truncated"],
+    )
+    def test_the_replication_sender_retries_until_the_next_checkpoint(
+        self, mangle, tmp_path
+    ):
+        resyncs = get_registry().counter("replication.resyncs", "")
+        standby = ServerHarness(
+            durability=DurabilityConfig(root=tmp_path / "wal-s"), standby=True
+        ).start()
+        problem = make_problem(6, 5, num_topics=4, group_size=2, seed=2)
+        primary = ServerHarness(
+            durability=DurabilityConfig(root=tmp_path / "wal-p", checkpoint_every=2),
+            replicate_to=("127.0.0.1", standby.port),
+        )
+        primary.add_tenant("conf", AssignmentEngine(problem), default=True)
+        primary.start()
+
+        def caught_up() -> bool:
+            status = primary.call({"kind": "replication_status"})
+            return bool(status["payload"]["replication"]["caught_up"])
+
+        try:
+            wait_until(caught_up)
+            path = primary.server.tenants.get("conf").journal.checkpoint_path
+            path.write_bytes(mangle(path.read_bytes()))
+            before = resyncs.value
+            primary.server.replication.request_resync("conf")
+            wait_until(lambda: resyncs.value >= before + 2)  # failed, then retried
+            for tag in ("late-1", "late-2"):  # checkpoint_every=2: a new checkpoint
+                paper = late_paper(problem, tag)
+                response = primary.call({
+                    "kind": "add_paper",
+                    "paper": {"id": paper.id, "vector": paper.vector.to_list()},
+                })
+                assert response["ok"], response
+            wait_until(caught_up)
+            replica = standby.server.standby.replicas["conf"]
+            assert replica.engine.problem.paper_ids[-2:] == ("late-1", "late-2")
+        finally:
+            standby.stop()
+            primary.stop()
 
 
 class TestACheckpointShortOfCapacityRecovers:
