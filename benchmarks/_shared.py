@@ -92,6 +92,15 @@ def quality_run(dataset: str, group_size: int) -> CRAQualityResult:
     )
 
 
+def assert_exact_jra_scores_agree(table: ExperimentTable) -> None:
+    """BFS, ILP and BBA are exact: every row of a JRA sweep has one score."""
+    for bfs, ilp, bba in zip(
+        table.column("BFS score"), table.column("ILP score"), table.column("BBA score")
+    ):
+        assert abs(bfs - bba) < 1e-9
+        assert abs(ilp - bfs) < 1e-9
+
+
 def emit(table: ExperimentTable, filename: str) -> ExperimentTable:
     """Print a result table and persist it under ``benchmarks/results/``."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from _shared import bench_seed, emit
+from _shared import assert_exact_jra_scores_agree, bench_seed, emit
 from repro.experiments.jra_scalability import (
     JRAScalabilityConfig,
     run_group_size_scalability,
@@ -41,6 +41,7 @@ def test_fig14a_time_vs_group_size_larger_pool(benchmark):
     )
     emit(table, "fig14a_jra_time_vs_group_size.csv")
     assert table.column("BBA time (s)")[-1] <= table.column("BFS time (s)")[-1]
+    assert_exact_jra_scores_agree(table)
 
 
 def test_fig14b_time_vs_pool_size_group4(benchmark):
@@ -61,3 +62,4 @@ def test_fig14b_time_vs_pool_size_group4(benchmark):
     assert bba[-1] <= bfs[-1]
     # BFS grows super-linearly with R at delta_p=4; BBA grows far slower.
     assert bfs[-1] / max(bfs[0], 1e-9) >= bba[-1] / max(bba[0], 1e-9)
+    assert_exact_jra_scores_agree(table)

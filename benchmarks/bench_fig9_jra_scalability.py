@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 
-from _shared import bench_seed, emit
+from _shared import assert_exact_jra_scores_agree, bench_seed, emit
 from repro.experiments.jra_scalability import (
     JRAScalabilityConfig,
     run_cp_comparison,
@@ -58,9 +58,7 @@ def test_fig9a_time_vs_group_size(benchmark):
     assert bba_times[-1] <= bfs_times[-1]
     assert bba_times[-1] <= ilp_times[-1]
     assert bfs_times[-1] / max(bfs_times[0], 1e-9) >= bba_times[-1] / max(bba_times[0], 1e-9)
-    # All three methods are exact: identical scores everywhere.
-    for bfs_score, bba_score in zip(table.column("BFS score"), table.column("BBA score")):
-        assert abs(bfs_score - bba_score) < 1e-9
+    assert_exact_jra_scores_agree(table)
 
 
 def test_fig9b_time_vs_pool_size(benchmark):
@@ -78,6 +76,7 @@ def test_fig9b_time_vs_pool_size(benchmark):
     )
     emit(table, "fig9b_jra_time_vs_pool_size.csv")
     assert table.column("BBA time (s)")[-1] <= table.column("BFS time (s)")[-1]
+    assert_exact_jra_scores_agree(table)
 
 
 def test_fig9_cp_solver_comparison(benchmark):

@@ -10,8 +10,7 @@ Reviewer Assignment"* (Kou, U, Mamoulis and Gong, SIGMOD 2015):
   Conference Reviewer Assignment, plus every baseline the paper compares
   against,
 * the substrates those algorithms need (Hungarian linear assignment,
-  branch-and-bound ILP over SciPy's HiGHS, an Author-Topic-Model
-  pipeline, synthetic DBLP-like data),
+  an Author-Topic-Model pipeline, synthetic DBLP-like data),
 * an experiment harness that regenerates every table and figure of the
   paper's evaluation,
 * a long-lived assignment engine (:mod:`repro.service`) with an

@@ -47,6 +47,7 @@ from pathlib import Path
 from repro.cra import available_solvers as available_cra_solvers
 from repro.data.io import load_assignment, load_problem, save_assignment, save_problem
 from repro.data.synthetic import SyntheticWorkloadGenerator
+from repro.exceptions import ReproError
 from repro.jra import available_solvers as available_jra_solvers
 from repro.metrics.quality import lowest_coverage_score, optimality_ratio
 from repro.parallel import DEFAULT_PORTFOLIO, ParallelConfig, run_portfolio
@@ -822,5 +823,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     return handlers[args.command](args)
 
 
+def run(argv: Sequence[str] | None = None) -> int:
+    """Console entry point: :func:`main`, with library errors as ``error:`` lines.
+
+    A :class:`~repro.exceptions.ReproError` (a damaged checkpoint under
+    ``wgrap wal``, say) prints ``error: <message>`` on stderr and returns 2,
+    the code of the CLI's own ``error:`` paths.  :func:`main` lets it
+    propagate, for callers that want the exception.
+    """
+    try:
+        return main(argv)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":  # pragma: no cover - exercised via the console script
-    sys.exit(main())
+    sys.exit(run())

@@ -202,7 +202,6 @@ class WriteAheadLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self._file: Any | None = None
-        self._path: Path | None = None
         self._dirty = False
         registry = get_registry()
         self._records = registry.counter(
@@ -219,16 +218,12 @@ class WriteAheadLog:
     def segment_name(start_seq: int) -> str:
         return f"{_SEGMENT_PREFIX}{start_seq:012d}{_SEGMENT_SUFFIX}"
 
-    @property
-    def current_segment(self) -> Path | None:
-        return self._path
-
     def open_segment(self, start_seq: int) -> Path:
         """Open (append mode) the segment that starts at ``start_seq``."""
         self.close()
-        self._path = self.directory / self.segment_name(start_seq)
-        self._file = open(self._path, "ab")
-        return self._path
+        path = self.directory / self.segment_name(start_seq)
+        self._file = open(path, "ab")
+        return path
 
     def append(self, record: WalRecord) -> None:
         """Write one record; durability depends on the fsync policy."""
@@ -273,5 +268,4 @@ class WriteAheadLog:
                 self._file.close()
             finally:
                 self._file = None
-                self._path = None
                 self._dirty = False

@@ -56,18 +56,6 @@ class SolverError(ReproError):
     """A solver failed to produce a result."""
 
 
-class UnboundedProblemError(SolverError):
-    """A linear program is unbounded in the direction of optimization."""
-
-
-class InfeasibleLinearProgramError(SolverError):
-    """A linear program has an empty feasible region."""
-
-
-class IterationLimitError(SolverError):
-    """An iterative solver exceeded its iteration budget before converging."""
-
-
 class UnknownScoringFunctionError(ConfigurationError, KeyError):
     """A scoring function name was not found in the registry."""
 

@@ -4,8 +4,8 @@ All solvers here are *exact* (given enough search budget):
 
 * :class:`~repro.jra.bba.BranchAndBoundSolver` — the paper's BBA, the fast one.
 * :class:`~repro.jra.brute_force.BruteForceSolver` — exhaustive enumeration.
-* :class:`~repro.jra.ilp.ILPSolver` — the ILP formulation solved by our
-  branch-and-bound over LP relaxations.
+* :class:`~repro.jra.ilp.ILPSolver` — the ILP formulation on HiGHS's MIP
+  solver (``scipy.optimize.milp``).
 * :class:`~repro.jra.cp.ConstraintProgrammingSolver` — a generic CP search
   with a weak bound, standing in for the commercial CP solver of the paper.
 """

@@ -281,9 +281,6 @@ class LoadReport:
     def req_per_s(self) -> float:
         return self.requests / self.elapsed_seconds if self.elapsed_seconds else 0.0
 
-    def percentile_ms(self, q: float) -> float:
-        return _percentile(sorted(self.latencies_ms), q)
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-serialisable summary (the ``BENCH_serve.json`` core)."""
         latencies = sorted(self.latencies_ms)

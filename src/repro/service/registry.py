@@ -380,7 +380,7 @@ register_solver(
         name="ILP",
         kind="jra",
         factory=_make_ilp_jra,
-        description="ILP formulation solved by branch-and-bound over LP relaxations",
+        description="ILP on HiGHS's MIP solver (scipy.optimize.milp)",
     )
 )
 register_solver(

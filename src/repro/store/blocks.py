@@ -109,10 +109,6 @@ class MemmapScoreStore:
         os.replace(tmp, self.directory / _META_NAME)
 
     @property
-    def is_allocated(self) -> bool:
-        return self._map is not None
-
-    @property
     def bytes_mapped(self) -> int:
         return self.rows * self.capacity * 8
 

@@ -25,7 +25,6 @@ contract of :mod:`repro.durability`.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import weakref
 from dataclasses import asdict, dataclass
@@ -542,7 +541,3 @@ class SqliteProblemStore:
         if self._blocks is not None:
             payload["blocks"] = self._blocks.describe()
         return payload
-
-    def info_json(self) -> str:
-        """The ``wgrap store info`` payload."""
-        return json.dumps(self.describe(), indent=2, sort_keys=True)

@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,8 @@ from repro.exceptions import (
     RequestError,
     UnsupportedFormatError,
 )
+from repro.jra.bba import BranchAndBoundSolver
+from repro.jra.ilp import ILPSolver
 from repro.metrics.analysis import coverage_histogram, paper_topic_coverage
 from repro.metrics.quality import optimality_ratio
 from repro.net.server import AssignmentServer
@@ -1114,6 +1120,72 @@ class TestCheckpointReadsFailWithStructuredErrors:
             primary.stop()
 
 
+class TestTheCliPrintsLibraryErrors:
+    """The command line printed a traceback for a library error.
+
+    ``repro.cli.main`` had no handler for ``ReproError``.  ``wgrap wal``
+    over a damaged ``checkpoint.json`` (and ``serve --tcp --wal-dir`` at
+    start-up) printed a Python traceback ending in the structured error
+    and exited 1, while a missing WAL root printed an ``error:`` line and
+    exited 2.  The console entry point ``repro.cli.run`` now turns a
+    ``ReproError`` into ``error: <message>`` and exit code 2; ``main``
+    still raises it.
+    """
+
+    SRC = Path(__file__).resolve().parents[2] / "src"
+
+    DAMAGES = pytest.mark.parametrize(
+        "mangle, names_the_file",
+        [(lambda data: b"[1, 2]", False), (lambda data: data[: len(data) // 2], True)],
+        ids=["not-an-object", "truncated"],
+    )
+
+    @classmethod
+    def cli(cls, *argv: str) -> subprocess.CompletedProcess:
+        """``python -m repro.cli *argv`` in a fresh process."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(cls.SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+
+    @DAMAGES
+    def test_wgrap_wal_over_a_damaged_checkpoint(self, mangle, names_the_file, tmp_path):
+        config, path = TestCheckpointReadsFailWithStructuredErrors.damaged(tmp_path, mangle)
+        completed = self.cli("wal", str(config.root))
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stderr.startswith("error:"), completed.stderr
+        assert "Traceback" not in completed.stderr
+        if names_the_file:
+            assert str(path) in completed.stderr
+
+    @DAMAGES
+    def test_durable_serve_over_a_damaged_checkpoint(self, mangle, names_the_file, tmp_path):
+        # Recovery reads the checkpoint before the server listens, so the
+        # process ends at start-up; a server that started would run into
+        # the timeout instead.
+        config, path = TestCheckpointReadsFailWithStructuredErrors.damaged(tmp_path, mangle)
+        completed = self.cli("serve", "--tcp", "--port", "0", "--wal-dir", str(config.root))
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stderr.startswith("error:"), completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert '"event"' not in completed.stdout
+        if names_the_file:
+            assert str(path) in completed.stderr
+
+    def test_wgrap_wal_over_a_healthy_root(self, tmp_path, capsys):
+        config, _ = TestCheckpointReadsFailWithStructuredErrors.damaged(tmp_path, lambda data: data)
+        for argv in (["wal", str(config.root)], ["wal", str(config.root), "--json"]):
+            assert main(argv) == 0
+            completed = self.cli(*argv)
+            assert completed.returncode == 0, completed.stderr
+            assert (completed.stdout, completed.stderr) == (capsys.readouterr().out, "")
+
+
 class TestACheckpointShortOfCapacityRecovers:
     """Recovery refused a checkpoint that its own engine had written.
 
@@ -1152,3 +1224,43 @@ class TestACheckpointShortOfCapacityRecovers:
         payload = problem_to_dict(self.short_engine("add_paper").problem)
         with pytest.raises(InfeasibleProblemError, match="insufficient review capacity"):
             problem_from_dict(payload)
+
+
+class TestTheIlpProvesOnlyTheOptimum:
+    """The ILP flagged a group below the optimum as proven optimal.
+
+    On HiGHS's defaults ``ILPSolver`` returned 0.0013833577, flagged
+    optimal, for the first instance below, where BBA finds 0.0013842635:
+    HiGHS ends a search within 1e-6 (absolute) of its bound and prunes by
+    its 1e-6 MIP feasibility tolerance, and these papers' best groups lie
+    closer than that.  The solve now asks for a zero absolute gap and a
+    1e-9 tolerance, and turns presolve off.  Each of the other three
+    instances is flagged optimal below the optimum (by 3.5e-7, 4.0e-9 and
+    1.4e-8) when exactly one of those three settings is left out.
+    """
+
+    @pytest.mark.parametrize(
+        "reviewers, topics, group_size, workload, seed, scoring, paper_id",
+        [
+            (9, 7, 2, 3, 21, "paper_coverage", "paper-0001"),
+            (26, 20, 3, 4, 10, "paper_coverage", "paper-0001"),
+            (15, 7, 3, 3, 15, "dot_product", "paper-0000"),
+            (11, 5, 3, 3, 58, "dot_product", "paper-0001"),
+        ],
+        ids=["defaults", "absolute-gap", "presolve", "feasibility-tolerance"],
+    )
+    def test_a_proven_group_is_the_optimum(
+        self, reviewers, topics, group_size, workload, seed, scoring, paper_id
+    ):
+        problem = make_problem(
+            num_papers=3,
+            num_reviewers=reviewers,
+            num_topics=topics,
+            group_size=group_size,
+            reviewer_workload=workload,
+            seed=seed,
+            scoring=scoring,
+        ).to_jra(paper_id)
+        ilp = ILPSolver().solve(problem)
+        assert ilp.is_optimal
+        assert ilp.score == pytest.approx(BranchAndBoundSolver().solve(problem).score, abs=1e-9)

@@ -28,12 +28,10 @@ select a reference.
 :func:`reference_solver` builds the reference for a registry name with
 the registry factory's defaults; :data:`REFERENCES` lists them.
 
-The substrates have references too, which stay off :data:`REFERENCES`:
+The substrates have a reference too, which stays off :data:`REFERENCES`:
 :mod:`tests.oracles.flow` (a min-cost flow for the Hungarian stage
-assignment and the pairwise ILP's HiGHS LP) and
-:mod:`tests.oracles.simplex` (a dense simplex for the branch-and-bound
-driver's HiGHS relaxations) match on objective values, not on how ties
-are broken.
+assignment and the pairwise ILP's HiGHS LP) matches on objective values,
+not on how ties are broken.
 
 BBA has a second reference off :data:`REFERENCES`:
 :class:`CursorBoundBBAOracle` overrides ``_completion_bound`` to skip the

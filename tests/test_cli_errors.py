@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.cli import main, run
 from repro.core.assignment import Assignment
 from repro.data.io import load_problem, save_assignment
 from repro.exceptions import ConfigurationError, InfeasibleAssignmentError
@@ -61,3 +63,27 @@ class TestCorruptFiles:
     def test_journal_with_unknown_paper(self, problem_file):
         with pytest.raises(KeyError):
             main(["journal", str(problem_file), "no-such-paper"])
+
+
+class TestRunEntryPoint:
+    """``run``, the console entry point: ``main`` with library errors as ``error:`` lines."""
+
+    def test_the_cli_own_error_lines_keep_their_code(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert run(["wal", str(missing)]) == 2
+        assert capsys.readouterr() == ("", f"error: no WAL root at {missing}\n")
+
+    def test_other_exceptions_keep_their_traceback(self, monkeypatch):
+        # Only a ReproError is an expected failure; anything else is a bug.
+        def broken(argv=None):
+            raise RuntimeError("not a library error")
+
+        monkeypatch.setattr(cli, "main", broken)
+        with pytest.raises(RuntimeError, match="not a library error"):
+            cli.run([])
+
+    def test_the_console_scripts_call_run(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1]
+        scripts = scripts.split("\n[", 1)[0].strip().splitlines()
+        assert scripts == ['repro = "repro.cli:run"', 'wgrap = "repro.cli:run"']

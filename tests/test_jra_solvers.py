@@ -16,8 +16,7 @@ from repro.jra.brute_force import BruteForceSolver
 from repro.jra.cp import ConstraintProgrammingSolver
 from repro.jra.ilp import ILPSolver
 from repro.jra.topk import find_top_k_groups
-from repro.exceptions import ConfigurationError
-from tests.oracles.simplex import simplex_driver
+from repro.exceptions import ConfigurationError, SolverError
 
 
 def _exhaustive_best(problem: JRAProblem) -> tuple[float, set[frozenset[str]]]:
@@ -66,33 +65,6 @@ class TestBBA:
         assert bba.score == pytest.approx(bfs.score)
         assert tiny_jra_problem.group_score(bba.reviewer_ids) == pytest.approx(bba.score)
 
-    @pytest.mark.parametrize("group_size", [1, 2, 3, 4])
-    def test_matches_brute_force_across_group_sizes(self, group_size):
-        rng = np.random.default_rng(group_size)
-        paper = Paper(id="p", vector=TopicVector(rng.dirichlet(np.ones(5))))
-        reviewers = [
-            Reviewer(id=f"r{i}", vector=TopicVector(rng.dirichlet(np.full(5, 0.4))))
-            for i in range(8)
-        ]
-        problem = JRAProblem(paper=paper, reviewers=reviewers, group_size=group_size)
-        bba = BranchAndBoundSolver().solve(problem)
-        bfs = BruteForceSolver().solve(problem)
-        assert bba.score == pytest.approx(bfs.score)
-
-    @pytest.mark.parametrize("scoring", ["weighted_coverage", "reviewer_coverage",
-                                         "paper_coverage", "dot_product"])
-    def test_exact_under_every_scoring_function(self, scoring):
-        rng = np.random.default_rng(hash(scoring) % 2**31)
-        paper = Paper(id="p", vector=TopicVector(rng.dirichlet(np.ones(4))))
-        reviewers = [
-            Reviewer(id=f"r{i}", vector=TopicVector(rng.dirichlet(np.full(4, 0.5))))
-            for i in range(7)
-        ]
-        problem = JRAProblem(paper=paper, reviewers=reviewers, group_size=2, scoring=scoring)
-        bba = BranchAndBoundSolver().solve(problem)
-        best_score, _ = _exhaustive_best(problem)
-        assert bba.score == pytest.approx(best_score)
-
     def test_ablation_flags_do_not_change_the_answer(self, tiny_jra_problem):
         reference = BranchAndBoundSolver().solve(tiny_jra_problem)
         no_bound = BranchAndBoundSolver(use_bound=False).solve(tiny_jra_problem)
@@ -118,27 +90,6 @@ class TestBBA:
         ]
         assert result.score == pytest.approx(max(pair_scores))
 
-    def test_group_size_equals_pool(self):
-        rng = np.random.default_rng(2)
-        paper = Paper(id="p", vector=TopicVector(rng.dirichlet(np.ones(4))))
-        reviewers = [
-            Reviewer(id=f"r{i}", vector=TopicVector(rng.dirichlet(np.ones(4))))
-            for i in range(3)
-        ]
-        problem = JRAProblem(paper=paper, reviewers=reviewers, group_size=3)
-        result = BranchAndBoundSolver().solve(problem)
-        assert set(result.reviewer_ids) == {"r0", "r1", "r2"}
-
-    def test_zero_mass_paper(self):
-        paper = Paper(id="p", vector=TopicVector([0.0, 0.0, 0.0]))
-        reviewers = [
-            Reviewer(id=f"r{i}", vector=TopicVector([0.3, 0.3, 0.4])) for i in range(4)
-        ]
-        problem = JRAProblem(paper=paper, reviewers=reviewers, group_size=2)
-        result = BranchAndBoundSolver().solve(problem)
-        assert result.score == 0.0
-        assert len(result.reviewer_ids) == 2
-
     def test_result_dataclass_fields(self, tiny_jra_problem):
         result = BranchAndBoundSolver().solve(tiny_jra_problem)
         assert isinstance(result, JRAResult)
@@ -148,6 +99,65 @@ class TestBBA:
     def test_rejects_bad_top_k(self):
         with pytest.raises(ValueError):
             BranchAndBoundSolver(top_k=0)
+
+
+@pytest.mark.parametrize(
+    "solver_class", [BranchAndBoundSolver, ILPSolver], ids=["BBA", "ILP"]
+)
+class TestExactSolvers:
+    """BBA and the ILP both return a proven optimum."""
+
+    @pytest.mark.parametrize("group_size", [1, 2, 3, 4])
+    def test_matches_brute_force_across_group_sizes(self, solver_class, group_size):
+        rng = np.random.default_rng(group_size)
+        paper = Paper(id="p", vector=TopicVector(rng.dirichlet(np.ones(5))))
+        reviewers = [
+            Reviewer(id=f"r{i}", vector=TopicVector(rng.dirichlet(np.full(5, 0.4))))
+            for i in range(8)
+        ]
+        problem = JRAProblem(paper=paper, reviewers=reviewers, group_size=group_size)
+        result = solver_class().solve(problem)
+        bfs = BruteForceSolver().solve(problem)
+        assert result.is_optimal
+        assert result.score == pytest.approx(bfs.score)
+
+    @pytest.mark.parametrize(
+        "seed, scoring",
+        enumerate(["weighted_coverage", "reviewer_coverage", "paper_coverage", "dot_product"]),
+    )
+    def test_exact_under_every_scoring_function(self, solver_class, seed, scoring):
+        rng = np.random.default_rng(seed)
+        paper = Paper(id="p", vector=TopicVector(rng.dirichlet(np.ones(4))))
+        reviewers = [
+            Reviewer(id=f"r{i}", vector=TopicVector(rng.dirichlet(np.full(4, 0.5))))
+            for i in range(7)
+        ]
+        problem = JRAProblem(paper=paper, reviewers=reviewers, group_size=2, scoring=scoring)
+        result = solver_class().solve(problem)
+        best_score, _ = _exhaustive_best(problem)
+        assert result.is_optimal
+        assert result.score == pytest.approx(best_score)
+
+    def test_group_size_equals_pool(self, solver_class):
+        rng = np.random.default_rng(2)
+        paper = Paper(id="p", vector=TopicVector(rng.dirichlet(np.ones(4))))
+        reviewers = [
+            Reviewer(id=f"r{i}", vector=TopicVector(rng.dirichlet(np.ones(4))))
+            for i in range(3)
+        ]
+        problem = JRAProblem(paper=paper, reviewers=reviewers, group_size=3)
+        result = solver_class().solve(problem)
+        assert set(result.reviewer_ids) == {"r0", "r1", "r2"}
+
+    def test_zero_mass_paper(self, solver_class):
+        paper = Paper(id="p", vector=TopicVector([0.0, 0.0, 0.0]))
+        reviewers = [
+            Reviewer(id=f"r{i}", vector=TopicVector([0.3, 0.3, 0.4])) for i in range(4)
+        ]
+        problem = JRAProblem(paper=paper, reviewers=reviewers, group_size=2)
+        result = solver_class().solve(problem)
+        assert result.score == 0.0
+        assert len(set(result.reviewer_ids)) == 2
 
 
 class TestTopK:
@@ -194,21 +204,70 @@ class TestILP:
     def test_matches_brute_force(self, tiny_jra_problem):
         ilp = ILPSolver().solve(tiny_jra_problem)
         bfs = BruteForceSolver().solve(tiny_jra_problem)
+        assert ilp.is_optimal
         assert ilp.score == pytest.approx(bfs.score)
         assert ilp.stats["nodes_explored"] >= 1
+        # sum_t z_t over the paper's mass: the z rows reproduce the group
+        # aggregation, not just pick the right group.
+        assert ilp.stats["objective_normalised"] == pytest.approx(ilp.score)
+        # The group is read off x in reviewer index order.
+        order = [tiny_jra_problem.reviewer_ids.index(reviewer) for reviewer in ilp.reviewer_ids]
+        assert order == sorted(order)
 
-    def test_simplex_backend_on_small_instance(self):
-        rng = np.random.default_rng(8)
-        paper = Paper(id="p", vector=TopicVector(rng.dirichlet(np.ones(3))))
+    def test_a_time_limit_with_room_proves_the_optimum(self, tiny_jra_problem):
+        ilp = ILPSolver(time_limit=60.0).solve(tiny_jra_problem)
+        assert ilp.is_optimal
+        assert ilp.score == pytest.approx(BruteForceSolver().solve(tiny_jra_problem).score)
+
+    def test_no_budget_raises_solver_error(self, tiny_jra_problem):
+        # HiGHS stops before it has any group; that is a solver failure,
+        # never a result.
+        with pytest.raises(SolverError):
+            ILPSolver(time_limit=0.0).solve(tiny_jra_problem)
+
+    #: (seed, reviewers, topics, group size, Dirichlet concentration,
+    #: scoring).  With one node, HiGHS (as shipped with SciPy 1.17) stops on
+    #: seven of them before it proves its incumbent optimal, on two with a
+    #: group below the optimum, and proves the other four at the root.
+    NODE_LIMITED = [
+        (1, 24, 30, 2, 1.0, "reviewer_coverage"),
+        (2, 24, 30, 2, 1.0, "reviewer_coverage"),
+        (3, 24, 30, 2, 1.0, "reviewer_coverage"),
+        (2, 20, 25, 3, 1.0, "reviewer_coverage"),
+        (4, 20, 25, 3, 1.0, "reviewer_coverage"),
+        (16, 24, 30, 2, 1.0, "weighted_coverage"),
+        (19, 20, 25, 3, 1.0, "weighted_coverage"),
+        (2, 24, 30, 2, 0.3, "reviewer_coverage"),
+        (0, 20, 25, 3, 1.0, "weighted_coverage"),
+        (0, 20, 25, 3, 1.0, "paper_coverage"),
+        (0, 20, 25, 3, 1.0, "dot_product"),
+    ]
+
+    @pytest.mark.parametrize(
+        "seed, num_reviewers, num_topics, group_size, concentration, scoring", NODE_LIMITED
+    )
+    def test_node_limit_returns_a_valid_group(
+        self, seed, num_reviewers, num_topics, group_size, concentration, scoring
+    ):
+        rng = np.random.default_rng(seed)
+        alpha = np.full(num_topics, concentration)
+        paper = Paper(id="p", vector=TopicVector(rng.dirichlet(alpha)))
         reviewers = [
-            Reviewer(id=f"r{i}", vector=TopicVector(rng.dirichlet(np.ones(3))))
-            for i in range(5)
+            Reviewer(id=f"r{i}", vector=TopicVector(rng.dirichlet(alpha)))
+            for i in range(num_reviewers)
         ]
-        problem = JRAProblem(paper=paper, reviewers=reviewers, group_size=2)
-        with simplex_driver():
-            ilp = ILPSolver().solve(problem)
-        bfs = BruteForceSolver().solve(problem)
-        assert ilp.score == pytest.approx(bfs.score)
+        problem = JRAProblem(
+            paper=paper, reviewers=reviewers, group_size=group_size, scoring=scoring
+        )
+        result = ILPSolver(node_limit=1).solve(problem)
+        best = BruteForceSolver().solve(problem).score
+        assert len(set(result.reviewer_ids)) == group_size
+        assert result.score == problem.group_score(result.reviewer_ids)
+        assert result.score <= best + 1e-12
+        if result.is_optimal:
+            # Optimality is proven up to the solve's 1e-9 MIP feasibility
+            # tolerance.
+            assert result.score == pytest.approx(best, abs=1e-9)
 
 
 class TestCP:
