@@ -954,21 +954,32 @@ class JRAProblem:
     def sorted_topic_lists(self) -> tuple[np.ndarray, np.ndarray]:
         """The T sorted reviewer lists of BBA (Section 3), cached.
 
-        Returns ``(sorted_reviewers, sorted_values)``: for every topic
-        ``t``, ``sorted_reviewers[t]`` lists reviewer indices by expertise
-        on ``t`` in descending order (stable, so ties keep index order)
-        and ``sorted_values[t]`` the corresponding weights.  Cached on the
-        instance because the engine's JRA sub-problem cache solves the
+        Returns ``(sorted_reviewers, sorted_values)``, both read-only
+        ``(T, R + 1)`` arrays: for every topic ``t``,
+        ``sorted_reviewers[t, :R]`` lists reviewer indices by expertise on
+        ``t`` in descending order (stable, so ties keep index order) and
+        ``sorted_values[t, :R]`` the corresponding weights.  Column ``R``
+        is a sentinel, reviewer index ``R`` with weight ``0.0``: a cursor
+        that has walked past every reviewer rests on it, so BBA gathers
+        all T fronts and cursor values without a bounds check.  Cached on
+        the instance because the engine's JRA sub-problem cache solves the
         same instance once per distinct journal question (``top_k``,
         solver) — the ``O(T * R log R)`` pre-sort is then paid once, not
         per question.
         """
         if self._sorted_topic_lists is None:
-            order = np.argsort(-self.reviewer_matrix, axis=0, kind="stable").T
-            sorted_reviewers = np.ascontiguousarray(order)
-            sorted_values = np.take_along_axis(
-                self.reviewer_matrix.T, sorted_reviewers, axis=1
+            num_reviewers = self.num_reviewers
+            shape = (self.num_topics, num_reviewers + 1)
+            sorted_reviewers = np.full(shape, num_reviewers, dtype=np.intp)
+            sorted_reviewers[:, :num_reviewers] = np.argsort(
+                -self.reviewer_matrix, axis=0, kind="stable"
+            ).T
+            sorted_values = np.zeros(shape, dtype=np.float64)
+            sorted_values[:, :num_reviewers] = np.take_along_axis(
+                self.reviewer_matrix.T, sorted_reviewers[:, :num_reviewers], axis=1
             )
+            sorted_reviewers.setflags(write=False)
+            sorted_values.setflags(write=False)
             self._sorted_topic_lists = (sorted_reviewers, sorted_values)
         return self._sorted_topic_lists
 

@@ -51,6 +51,22 @@ class JRAScalabilityConfig:
     ilp_time_limit: float | None = 60.0
 
 
+def _warm_up(methods: Sequence[str], config: JRAScalabilityConfig) -> None:
+    """One untimed solve per method, on a small instance of its own.
+
+    A process's first solve pays one-time costs, such as the ILP's
+    ``import scipy.optimize``, that would otherwise be billed to the first
+    timed trial.  No timed instance is warmed: BBA caches its sorted lists
+    on the problem, so warming one would take the pre-sort out of BBA's
+    measured time.
+    """
+    problem = make_jra_problem(
+        num_candidates=6, group_size=2, num_topics=config.num_topics, seed=config.seed
+    )
+    for method in methods:
+        make_jra_solver(method, time_limit=config.ilp_time_limit).solve(problem)
+
+
 def _average_times(
     methods: Sequence[str],
     config: JRAScalabilityConfig,
@@ -59,6 +75,7 @@ def _average_times(
     group_size: int,
 ) -> dict[str, tuple[float, float]]:
     """Average (time, score) of each method over ``num_trials`` papers."""
+    _warm_up(methods, config)
     accumulated: dict[str, list[tuple[float, float]]] = {method: [] for method in methods}
     for trial in range(config.num_trials):
         problem = make_jra_problem(

@@ -21,7 +21,7 @@ it practical with four ingredients:
   visited — the only reviewers any completion in the subtree may use.
   When the cursor bound fails to prune and the incumbent heap is full,
   this bound is tried next; it prunes most of the branches the cursor
-  bound keeps, and its gains double as the branching gains of the node.
+  bound keeps.
 
 The solver is exact: pruning only removes branches whose upper bound is no
 better than the incumbent.  The completion bound is made float-safe (see
@@ -38,16 +38,35 @@ each contributes; ``use_bound=False`` turns off both bounds.
 A ``top_k`` mode keeps the ``k`` best groups in a heap instead of a single
 incumbent (Figure 15); pruning then compares against the k-th best score.
 
-The default path runs the candidate front in index space: the T sorted
-lists come pre-computed (and cached across solves) from
-:meth:`JRAProblem.sorted_topic_lists
-<repro.core.problem.JRAProblem.sorted_topic_lists>`, the per-node cursor
-advance checks all T fronts in one gather and falls into the per-topic
-walk only for the cursors actually blocked by a visited reviewer, and the
-candidate set is deduplicated in first-occurrence order.  ``tests/oracles``
-holds two references: the historical per-topic cursor loops (the
-identical search tree, node counts included) and the cursor-bound-only
-search (the paper's Algorithm 1 bounding, same answers, more nodes).
+Per node, the search does little more than advance the front and read
+two bounds:
+
+* **Stage gains.**  A stage's marginal gains depend only on its group
+  vector, and only a descent into the stage changes that vector.  The
+  search therefore computes ``gain_vector`` over the whole pool, and the
+  stage's ``coverage``, once per entry into a stage: on the stage's first
+  need, for the completion bound or for branching.  A descent clears
+  them; a backtrack keeps them for the stage's next sibling.
+* **One gain path.**  Branching always reads ``stage_gains[candidates]``,
+  the completion bound the same array.  A row's gain does not depend on
+  which other rows share its ``gain_vector`` batch
+  (``tests/test_property_completion_bound.py`` pins this bit for bit), so
+  these are the values a ``gain_vector`` over the candidates alone gives.
+* **The sentinel front.**  The T sorted lists come pre-computed (and
+  cached across solves) from :meth:`JRAProblem.sorted_topic_lists
+  <repro.core.problem.JRAProblem.sorted_topic_lists>` and end in a
+  sentinel column: reviewer index ``R`` with weight ``0.0``, whose
+  ``visited_stage`` slot is never marked.  A cursor past the last reviewer
+  rests on it, so the cursor advance gathers all T fronts in one step,
+  walks only the cursors actually blocked by a visited reviewer, and needs
+  no bounds check; the cursor bound reads ``sorted_values[t, cursor[t]]``
+  directly.  The candidate set is deduplicated in first-occurrence order,
+  without the sentinel.
+
+``tests/oracles`` holds two references: the historical per-topic cursor
+loops (the identical search tree, node counts included) and the
+cursor-bound-only search (the paper's Algorithm 1 bounding, same answers,
+more nodes).
 """
 
 from __future__ import annotations
@@ -58,7 +77,6 @@ from typing import Any
 import numpy as np
 
 from repro.core.problem import JRAProblem
-from repro.core.scoring import ScoringFunction
 from repro.jra.base import JRASolver
 from repro.obs.trace import get_tracer
 
@@ -116,21 +134,40 @@ class BranchAndBoundSolver(JRASolver):
         group_size = problem.group_size
 
         # T sorted lists: sorted_reviewers[t] lists reviewer indices by
-        # expertise on topic t, descending; sorted_values[t] the weights —
-        # cached on the problem so repeat solves skip the pre-sort.
+        # expertise on topic t, descending, then the sentinel R;
+        # sorted_values[t] the weights, then 0.0 — cached on the problem so
+        # repeat solves skip the pre-sort.
         sorted_reviewers, sorted_values = problem.sorted_topic_lists()
+        topics = np.arange(num_topics)
 
         # visited_stage[r] == 0 means "feasible"; otherwise it records the
         # stage at which the reviewer was visited along the current path.
-        visited_stage = np.zeros(num_reviewers, dtype=np.int64)
-        # One cursor array per stage (1-indexed); cursors[s][t] is a position
+        # Slot R belongs to the sentinel and is never visited.
+        visited_stage = np.zeros(num_reviewers + 1, dtype=np.int64)
+        pool_visited = visited_stage[:num_reviewers]
+        # One cursor row per stage (1-indexed); cursors[s, t] is a position
         # in sorted list t.
-        cursors = [np.zeros(num_topics, dtype=np.int64) for _ in range(group_size + 1)]
+        cursors = np.zeros((group_size + 1, num_topics), dtype=np.int64)
 
         # Running group: member indices per stage and the running max vector
         # per stage (group_vectors[s] is the vector *before* stage s picks).
         members = np.full(group_size + 1, -1, dtype=np.int64)
         group_vectors = np.zeros((group_size + 2, num_topics), dtype=np.float64)
+        # stage_gains[s]: gain_vector over the whole pool and the coverage of
+        # group_vectors[s], computed on the stage's first need and cleared
+        # when the search descends into it (nothing else moves the vector).
+        stage_gains: list[tuple[np.ndarray, float] | None] = [None] * (group_size + 1)
+
+        def gains_of(stage: int) -> tuple[np.ndarray, float]:
+            entry = stage_gains[stage]
+            if entry is None:
+                group_vector = group_vectors[stage]
+                entry = (
+                    scoring.gain_vector(group_vector, reviewer_matrix, paper_vector),
+                    scoring.coverage(group_vector, paper_vector),
+                )
+                stage_gains[stage] = entry
+            return entry
 
         nodes_expanded = 0
         prunings = 0
@@ -171,51 +208,36 @@ class BranchAndBoundSolver(JRASolver):
                     continue
 
                 # Bounding: optimistic completion uses the best remaining value
-                # per topic (the value under each cursor).
-                completion_gains = None
+                # per topic (the value under each cursor; 0.0 on the sentinel).
                 if self._use_bound:
                     threshold = incumbent_threshold()
-                    cursor_values = np.where(
-                        cursor < num_reviewers,
-                        sorted_values[np.arange(num_topics), np.minimum(cursor, num_reviewers - 1)],
-                        0.0,
-                    )
-                    upper_vector = np.maximum(group_vector, cursor_values)
+                    upper_vector = np.maximum(group_vector, sorted_values[topics, cursor])
                     upper = scoring.coverage(upper_vector, paper_vector, paper_total)
                     if upper <= threshold + 1e-15:
                         prunings += 1
                         stage = self._backtrack(stage, visited_stage, members)
                         continue
                     # The completion bound, once the threshold is finite.
-                    completion = None
                     if len(incumbents) == self._top_k:
                         completion = self._completion_bound(
-                            scoring,
-                            group_vector,
-                            reviewer_matrix,
-                            paper_vector,
-                            visited_stage == 0,
+                            *gains_of(stage),
+                            pool_visited == 0,
                             group_size - stage + 1,
+                            num_topics,
                         )
-                    if completion is not None:
-                        bound, slack, completion_gains = completion
-                        if bound + slack <= threshold:
-                            prunings += 1
-                            completion_prunings += 1
-                            stage = self._backtrack(stage, visited_stage, members)
-                            continue
+                        if completion is not None:
+                            bound, slack = completion
+                            if bound + slack <= threshold:
+                                prunings += 1
+                                completion_prunings += 1
+                                stage = self._backtrack(stage, visited_stage, members)
+                                continue
 
-                # Branching: evaluate the marginal gain of each candidate and
-                # pick the best (or simply the first candidate when ordering is
-                # disabled for the ablation study).  The completion bound's
-                # gains are the same gain_vector values, row for row.
+                # Branching: pick the candidate with the largest marginal gain
+                # (or simply the first candidate when ordering is disabled for
+                # the ablation study).
                 if self._use_gain_ordering:
-                    if completion_gains is not None:
-                        gains = completion_gains[candidates]
-                    else:
-                        gains = scoring.gain_vector(
-                            group_vector, reviewer_matrix[candidates], paper_vector
-                        )
+                    gains = gains_of(stage)[0][candidates]
                     chosen = candidates[int(np.argmax(gains))]
                 else:
                     chosen = candidates[0]
@@ -236,8 +258,9 @@ class BranchAndBoundSolver(JRASolver):
                     members[stage] = -1
                 else:
                     group_vectors[stage + 1] = extended_vector
-                    cursors[stage + 1] = cursor.copy()
+                    cursors[stage + 1] = cursor
                     stage += 1
+                    stage_gains[stage] = None
             search_span.set(
                 nodes_expanded=nodes_expanded,
                 prunings=prunings,
@@ -271,22 +294,22 @@ class BranchAndBoundSolver(JRASolver):
     # ------------------------------------------------------------------
     @staticmethod
     def _completion_bound(
-        scoring: ScoringFunction,
-        group_vector: np.ndarray,
-        reviewer_matrix: np.ndarray,
-        paper_vector: np.ndarray,
+        gains: np.ndarray,
+        coverage: float,
         available: np.ndarray,
         remaining: int,
-    ) -> tuple[float, float, np.ndarray] | None:
+        num_topics: int,
+    ) -> tuple[float, float] | None:
         """The submodular completion bound of a partial group.
 
-        ``group_vector`` is the group's running maximum ``g``, ``available``
-        the boolean mask of the reviewers a completion may still use and
-        ``remaining`` the number ``m`` of members still to pick.  Returns
-        ``(bound, slack, gains)``: ``gains`` is ``scoring.gain_vector`` over
-        every row of ``reviewer_matrix`` (the search reads its candidates'
-        branching gains from it), ``bound`` is ``c(g)`` plus the sum of the
-        ``m`` largest available gains (each clipped at 0), and every
+        ``gains`` is ``scoring.gain_vector(g, M, p)`` over the whole pool
+        ``M`` and ``coverage`` is ``scoring.coverage(g, p)``, both of the
+        group's running maximum ``g`` (the search computes them once per
+        entry into a stage); ``available`` is the boolean mask of the
+        reviewers a completion may still use, ``remaining`` the number
+        ``m`` of members still to pick and ``num_topics`` is ``T``.
+        Returns ``(bound, slack)``: ``bound`` is ``c(g)`` plus the sum of
+        the ``m`` largest available gains (each clipped at 0), and every
         completion ``w`` of ``m`` available reviewers scores
         ``scoring.coverage(w, p) <= bound + slack``.  The search prunes on
         ``bound + slack <= threshold``; a reference may return ``None`` to
@@ -329,16 +352,12 @@ class BranchAndBoundSolver(JRASolver):
         threshold (barring underflow).  The cursor bound's ``+1e-15``,
         which errs toward pruning, is not used here.
         """
-        gains = scoring.gain_vector(group_vector, reviewer_matrix, paper_vector)
         pool = gains[available]
         if pool.size > remaining:
             pool = np.partition(pool, pool.size - remaining)[pool.size - remaining:]
-        bound = scoring.coverage(group_vector, paper_vector) + float(
-            np.maximum(pool, 0.0).sum()
-        )
-        num_topics = paper_vector.shape[0]
+        bound = coverage + float(np.maximum(pool, 0.0).sum())
         slack = (2 * (remaining + 1) * num_topics + 1) * _EPS * bound
-        return bound, slack, gains
+        return bound, slack
 
     @staticmethod
     def _advance_front(
@@ -349,33 +368,27 @@ class BranchAndBoundSolver(JRASolver):
     ) -> list[int]:
         """Advance the cursors past visited reviewers; return the candidates.
 
-        One gather checks all T fronts at once; only cursors whose front reviewer is currently visited fall into
-        the per-topic walk (at most a handful per node: a cursor can only
-        be blocked by a reviewer visited since the cursor array was
-        copied).  Deduplication keeps first-occurrence topic order —
-        exactly the list the per-topic cursor loop builds, so gain argmax
-        tie-breaking and the ablation's ``candidates[0]`` pick are
-        unchanged.
+        One gather reads all T fronts at once.  Only cursors whose front
+        reviewer is currently visited fall into the per-topic walk (at most
+        a handful per node: a cursor can only be blocked by a reviewer
+        visited since the cursor array was copied).  The walk needs no
+        bounds check: every list ends in the sentinel ``num_reviewers``,
+        whose ``visited_stage`` slot is never marked.  Deduplication keeps
+        first-occurrence topic order and drops the sentinel — exactly the
+        list the per-topic cursor loop builds, so gain argmax tie-breaking
+        and the ablation's ``candidates[0]`` pick are unchanged.
         """
-        live = np.flatnonzero(cursor < num_reviewers)
-        if live.size:
-            front = sorted_reviewers[live, cursor[live]]
-            blocked = live[visited_stage[front] != 0]
-            for topic in blocked.tolist():
-                position = cursor[topic]
-                while (
-                    position < num_reviewers
-                    and visited_stage[sorted_reviewers[topic, position]] != 0
-                ):
-                    position += 1
-                cursor[topic] = position
-            if blocked.size:
-                live = np.flatnonzero(cursor < num_reviewers)
-        if live.size == 0:
-            return []
-        rows = sorted_reviewers[live, cursor[live]]
+        front = sorted_reviewers[np.arange(cursor.shape[0]), cursor]
+        for topic in visited_stage[front].nonzero()[0].tolist():
+            position = cursor[topic] + 1
+            while visited_stage[sorted_reviewers[topic, position]]:
+                position += 1
+            cursor[topic] = position
+            front[topic] = sorted_reviewers[topic, position]
         # dict preserves insertion order = first-occurrence topic order.
-        return list(dict.fromkeys(rows.tolist()))
+        candidates = dict.fromkeys(front.tolist())
+        candidates.pop(num_reviewers, None)
+        return list(candidates)
 
     @staticmethod
     def _backtrack(

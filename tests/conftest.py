@@ -24,6 +24,15 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+#: The deep run of BBA's completion-bound and gain-row properties
+#: (``tests/test_property_completion_bound.py``), about ten times tier-1's
+#: examples, selected with ``--hypothesis-profile bba-deep``.
+settings.register_profile(
+    "bba-deep",
+    max_examples=3000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 @pytest.fixture

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.data.synthetic import make_problem
 from repro.exceptions import ConfigurationError
+from repro.experiments import jra_scalability
 from repro.experiments.case_study import pick_interdisciplinary_paper, run_case_study
 from repro.experiments.cra_quality import build_dataset_problem, run_cra_quality
 from repro.experiments.jra_scalability import (
@@ -120,6 +123,32 @@ class TestJRAScalabilityExperiments:
             pool_sizes=(15, 25), group_size=2, methods=("BFS", "BBA"), config=TINY_JRA
         )
         assert table.column("R") == [15, 25]
+
+    def test_first_solve_of_the_process_is_not_timed(self, monkeypatch):
+        # A process's first solve carries one-time costs (the ILP's SciPy
+        # import); the sweep must bill them to an untimed warm-up solve.
+        solved = []
+
+        class FirstSolveSlow:
+            def solve(self, problem):
+                solved.append(problem)
+                return SimpleNamespace(
+                    elapsed_seconds=100.0 if len(solved) == 1 else 0.5, score=1.0
+                )
+
+        monkeypatch.setattr(
+            jra_scalability, "make_jra_solver", lambda name, time_limit=None: FirstSolveSlow()
+        )
+        config = JRAScalabilityConfig(num_trials=2, num_topics=10, seed=3)
+        table = run_group_size_scalability(
+            group_sizes=(2,), num_candidates=12, methods=("ILP",), config=config
+        )
+        assert table.column("ILP time (s)") == [0.5]
+        warm_up, *timed = solved
+        assert len(timed) == config.num_trials
+        # The warm-up instance is none of the timed ones.
+        assert all(problem is not warm_up for problem in timed)
+        assert [problem.num_reviewers for problem in timed] == [12, 12]
 
     def test_topk_sweep(self):
         table = run_topk_experiment(k_values=(1, 5, 20), num_candidates=20,
